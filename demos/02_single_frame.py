@@ -10,16 +10,20 @@ import numpy as np
 
 from ofdm_spm import (
     Policy,
+    SpmFrameBits,
+    constellation_point,
     count_errors,
     default_layout,
-    assemble_grid,
+    detect_bpsk_bit,
+    detect_power_bit,
+    detection_threshold,
+    equalize_symbols,
+    ofdm_demodulate,
     ofdm_modulate,
     power_pair_for,
-    receive_frame,
     split_bitstream,
 )
 from ofdm_spm.channel import add_awgn, apply_channel, default_profile, draw_channel
-from ofdm_spm.tx import TimeSymbol
 
 CP = 16
 
@@ -30,15 +34,18 @@ def run_once(n0: float, rng) -> None:
 
     bits = rng.integers(0, 2, size=104)
     frame = split_bitstream(bits, 52)
-    grid = assemble_grid(frame, pair, layout)
-    print(f"  first data bins: {np.round(grid.data[:6].real, 4)}")
+    points = constellation_point(frame.power_bits, frame.bpsk_bits, pair)
+    print(f"  first data bins: {np.round(points[:6], 4)}")
 
-    sym = ofdm_modulate(grid, cp_len=CP)
+    samples = ofdm_modulate(points, layout, CP)
     chan = draw_channel(default_profile(), rng, fft_size=64)
-    received = add_awgn(apply_channel(sym.samples, chan), n0, rng)
+    received = add_awgn(apply_channel(samples, chan), n0, rng)
 
-    out = receive_frame(
-        TimeSymbol(samples=received, cp_len=CP), chan.freq_response, pair, layout
+    gains = chan.freq_response[layout.data_bins]
+    symbols, _ = equalize_symbols(ofdm_demodulate(received, layout, CP), gains)
+    out = SpmFrameBits(
+        power_bits=detect_power_bit(symbols, detection_threshold(pair)),
+        bpsk_bits=detect_bpsk_bit(symbols),
     )
     counts = count_errors(frame, out)
     print(f"  power-bit errors: {counts.power_errors} / 52")

@@ -52,16 +52,7 @@ from .harness import (
     write_csv,
 )
 from .optimize import ScanResult, mean_ber_objective, reference_pair, scan_levels
-from .rx import (
-    EqualizedGrid,
-    detect_bpsk_bit,
-    detect_power_bit,
-    equalize,
-    equalize_symbols,
-    ofdm_demodulate,
-    receive_frame,
-)
-from .transforms import fft_unitary, ifft_unitary
-from .tx import FreqGrid, TimeSymbol, assemble_grid, ofdm_modulate
+from .rx import detect_bpsk_bit, detect_power_bit, equalize_symbols, ofdm_demodulate
+from .tx import ofdm_modulate
 
 __version__ = "0.1.0"

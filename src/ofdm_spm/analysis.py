@@ -28,6 +28,8 @@ from .core import PowerPair, SpmFrameBits
 def _fade_tail(x):
     """0.5 * (1 - sqrt(x/(1+x))) in a cancellation-free form; x >= 0."""
     x = np.asarray(x, dtype=np.float64)
+    if np.any(np.isnan(x)):
+        raise ValueError("effective snr must not be NaN")
     if np.any(x < 0):
         raise ValueError("effective snr must be nonnegative")
     out = np.zeros(x.shape)

@@ -12,8 +12,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .transforms import fft_unitary
-
 
 @dataclass(frozen=True, eq=False)
 class ChannelProfile:
@@ -91,14 +89,11 @@ def channel_frequency_response(taps, fft_size: int) -> np.ndarray:
     Works on a single tap vector or a batch (last axis = delay).
     """
     taps = np.asarray(taps)
-    depth = taps.shape[-1]
-    if depth > fft_size:
+    if taps.shape[-1] > fft_size:
         raise ValueError(
-            f"delay spread {depth - 1} does not fit an FFT of size {fft_size}"
+            f"delay spread {taps.shape[-1] - 1} does not fit an FFT of size {fft_size}"
         )
-    padded = np.zeros(taps.shape[:-1] + (fft_size,), dtype=np.complex128)
-    padded[..., :depth] = taps
-    return np.sqrt(fft_size) * fft_unitary(padded)
+    return np.fft.fft(taps, fft_size)
 
 
 def draw_channel(profile: ChannelProfile, rng, fft_size: int = 64) -> ChannelRealization:

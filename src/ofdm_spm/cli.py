@@ -137,16 +137,21 @@ def _build_config(args, needs_seed: bool = False) -> SimConfig:
     if isinstance(high, str):
         if high == "auto":
             policy = values.get("policy", SimConfig.policy)
-            values["high_factor"] = scan_levels(policy).pair.high
+            grid = values.get("snr_db_grid", SimConfig.snr_db_grid)
+            values["high_factor"] = scan_levels(policy, mean_ber_objective(grid)).pair.high
         else:
             values["high_factor"] = float(high)
     return SimConfig(**values)
 
 
-def _open_out(args):
-    if args.out:
-        return open(args.out, "w", newline="")
-    return None
+def _emit(args, write) -> int:
+    """Hand write() the --out file, or stdout when --out is not given."""
+    if not args.out:
+        write(sys.stdout)
+        return 0
+    with open(args.out, "w", newline="") as handle:
+        write(handle)
+    return 0
 
 
 def _cmd_theory(args) -> int:
@@ -165,43 +170,27 @@ def _cmd_theory(args) -> int:
             repr(bd.ber_total),
             repr(throughput(bd.ber_power, bd.ber_bpsk)),
         ])
-    handle = _open_out(args)
-    writer = csv.writer(handle or sys.stdout, lineterminator="\n")
-    writer.writerow(THEORY_COLUMNS)
-    writer.writerows(rows)
-    if handle:
-        handle.close()
-    return 0
+
+    def write(handle):
+        writer = csv.writer(handle, lineterminator="\n")
+        writer.writerow(THEORY_COLUMNS)
+        writer.writerows(rows)
+
+    return _emit(args, write)
 
 
-def _cmd_simulate(args) -> int:
+# how each simulation command turns its config into sweep records
+_RECORDS = {
+    "simulate": lambda cfg, args: [run_point(cfg, args.snr)],
+    "sweep": lambda cfg, args: run_sweep(cfg),
+    "baseline": lambda cfg, args: run_baseline_ofdm_bpsk(cfg),
+}
+
+
+def _cmd_records(args) -> int:
     cfg = _build_config(args, needs_seed=True)
-    record = run_point(cfg, args.snr)
-    handle = _open_out(args)
-    write_csv([record], handle or sys.stdout)
-    if handle:
-        handle.close()
-    return 0
-
-
-def _cmd_sweep(args) -> int:
-    cfg = _build_config(args, needs_seed=True)
-    records = run_sweep(cfg)
-    handle = _open_out(args)
-    write_csv(records, handle or sys.stdout)
-    if handle:
-        handle.close()
-    return 0
-
-
-def _cmd_baseline(args) -> int:
-    cfg = _build_config(args, needs_seed=True)
-    records = run_baseline_ofdm_bpsk(cfg)
-    handle = _open_out(args)
-    write_csv(records, handle or sys.stdout)
-    if handle:
-        handle.close()
-    return 0
+    records = _RECORDS[args.command](cfg, args)
+    return _emit(args, lambda handle: write_csv(records, handle))
 
 
 def _cmd_optimize(args) -> int:
@@ -242,15 +231,15 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("simulate", help="Monte-Carlo at a single SNR")
     _add_common_options(p)
     p.add_argument("--snr", type=float, required=True, help="SNR point in dB")
-    p.set_defaults(func=_cmd_simulate)
+    p.set_defaults(func=_cmd_records)
 
     p = sub.add_parser("sweep", help="Monte-Carlo over the SNR grid")
     _add_common_options(p)
-    p.set_defaults(func=_cmd_sweep)
+    p.set_defaults(func=_cmd_records)
 
     p = sub.add_parser("baseline", help="plain OFDM-BPSK reference sweep")
     _add_common_options(p)
-    p.set_defaults(func=_cmd_baseline)
+    p.set_defaults(func=_cmd_records)
 
     p = sub.add_parser("optimize", help="scan H for the best (L, H) pair")
     _add_common_options(p)

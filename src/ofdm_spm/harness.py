@@ -37,8 +37,8 @@ from .core import (
     map_bpsk,
     power_pair_for,
 )
-from .rx import detect_bpsk_bit, detect_power_bit, equalize_symbols
-from .transforms import fft_unitary, ifft_unitary
+from .rx import detect_bpsk_bit, detect_power_bit, equalize_symbols, ofdm_demodulate
+from .tx import ofdm_modulate
 
 CHANNEL_MODES = ("multipath", "flat", "identity")
 SNR_CONVENTIONS = ("subcarrier", "per_bit")
@@ -104,6 +104,8 @@ class SimConfig:
             raise ValueError("ofdm_symbols must be positive")
         if len(self.snr_db_grid) == 0:
             raise ValueError("snr_db_grid must not be empty")
+        if np.isnan(np.asarray(self.snr_db_grid, dtype=np.float64)).any():
+            raise ValueError(f"snr_db_grid must not contain NaN, got {self.snr_db_grid}")
         if self.channel_mode not in CHANNEL_MODES:
             raise ValueError(
                 f"channel_mode must be one of {CHANNEL_MODES}, got {self.channel_mode!r}"
@@ -144,6 +146,8 @@ class SimConfig:
 
     def noise_density(self, snr_db: float, pair: PowerPair | None) -> float:
         """Complex noise variance per sample implied by the SNR axis value."""
+        if math.isnan(snr_db):
+            raise ValueError("snr_db = nan is not simulatable")
         snr = 10.0 ** (float(snr_db) / 10.0)
         if snr == 0:
             raise ValueError("snr_db = -inf is not simulatable")
@@ -202,79 +206,62 @@ def _expand_blocks(per_block, block: int, count: int):
     return np.repeat(per_block, block, axis=0)[:count]
 
 
-def _simulate_point(cfg: SimConfig, snr_db: float, snr_index: int, baseline: bool) -> SweepRecord:
+def _simulate_point(cfg: SimConfig, snr_db: float, snr_index: int, pair, mapper, detectors):
+    """Run the link chain over every batch of one SNR point.
+
+    mapper turns bits of shape (count, streams, n) into data-bin points;
+    detectors holds one decision function per stream. Returns the error
+    rate of each stream and the effective per-subcarrier SNR.
+    """
     layout = cfg.layout()
-    data = layout.data_bins
-    n = layout.n
-    fft_size, cp = cfg.fft_size, cfg.cp_len
-    block = cfg.coherence_block
-    pair = None if baseline else cfg.pair()
-    thr = None if baseline else detection_threshold(pair)
+    n, cp, block = layout.n, cfg.cp_len, cfg.coherence_block
     profile = cfg.profile() if cfg.channel_mode == "multipath" else None
     n0 = cfg.noise_density(snr_db, pair)
-
-    power_errors = 0
-    bpsk_errors = 0
+    errors = [0] * len(detectors)
     for batch_index, count in _batch_plan(cfg.ofdm_symbols, cfg.batch_symbols, block):
         rng = _batch_rng(cfg.master_seed, snr_index, batch_index)
-        # 1) payload bits
-        if baseline:
-            bpsk_bits = rng.integers(0, 2, size=(count, n), dtype=np.int8)
-            power_bits = None
-            points = map_bpsk(bpsk_bits).astype(np.float64)
-        else:
-            bits = rng.integers(0, 2, size=(count, 2 * n), dtype=np.int8)
-            power_bits, bpsk_bits = bits[:, :n], bits[:, n:]
-            points = constellation_point(power_bits, bpsk_bits, pair)
-        grid = np.zeros((count, fft_size), dtype=np.complex128)
-        grid[:, data] = points
-        # 2) channel draw and application
+        # draw order is part of the determinism contract: bits, fading, noise
+        bits = rng.integers(0, 2, size=(count, len(detectors) * n), dtype=np.int8)
+        bits = bits.reshape(count, len(detectors), n)
+        points = mapper(bits)
         blocks = -(-count // block)
+        gains = 1.0
         if cfg.channel_mode == "flat":
             # per-subcarrier gains act before the transform, which is the
             # same received signal as multiplying the bins after it
             per_block = draw_flat_rayleigh(blocks * n, rng).reshape(blocks, n)
             gains = _expand_blocks(per_block, block, count)
-            grid[:, data] = grid[:, data] * gains
-        body = ifft_unitary(grid)
-        x = np.concatenate([body[:, fft_size - cp :], body], axis=1) if cp else body
-        if cfg.channel_mode == "multipath":
+            points = points * gains
+        x = ofdm_modulate(points, layout, cp)
+        if profile is not None:
             taps = draw_taps(profile, blocks, rng)
-            response = channel_frequency_response(taps, fft_size)[:, data]
+            response = channel_frequency_response(taps, cfg.fft_size)[:, layout.data_bins]
             gains = _expand_blocks(response, block, count)
             x = apply_channel(x, _expand_blocks(taps, block, count))
-        elif cfg.channel_mode == "identity":
-            gains = np.ones((count, n))
-        # 3) noise, then the receiver
         y = add_awgn(x, n0, rng)
-        bins = fft_unitary(y[:, cp:])
-        symbols, _ = equalize_symbols(bins[:, data], gains)
-        bpsk_hat = detect_bpsk_bit(symbols)
-        bpsk_errors += int(np.count_nonzero(bpsk_hat != bpsk_bits))
-        if not baseline:
-            power_hat = detect_power_bit(symbols, thr)
-            power_errors += int(np.count_nonzero(power_hat != power_bits))
-
+        symbols, _ = equalize_symbols(ofdm_demodulate(y, layout, cp), gains)
+        for stream, detect in enumerate(detectors):
+            errors[stream] += int(np.count_nonzero(detect(symbols) != bits[:, stream]))
     bits_per_stream = n * cfg.ofdm_symbols
-    ber_bpsk_sim = bpsk_errors / bits_per_stream
     snr_eff = 1.0 / n0 if n0 > 0 else math.inf
-    if baseline:
-        theory = rayleigh_bpsk_ber(snr_eff)
-        return SweepRecord(
-            snr_db=float(snr_db),
-            ber_power_sim=math.nan,
-            ber_bpsk_sim=ber_bpsk_sim,
-            ber_total_sim=ber_bpsk_sim,
-            ber_power_theory=math.nan,
-            ber_bpsk_theory=theory,
-            ber_total_theory=theory,
-            throughput=1.0 - ber_bpsk_sim,
-            bits_power=0,
-            bits_bpsk=bits_per_stream,
-            seed=cfg.master_seed,
-        )
-    ber_power_sim = power_errors / bits_per_stream
+    return [e / bits_per_stream for e in errors], snr_eff
+
+
+def run_point(cfg: SimConfig, snr_db: float, snr_index: int = 0) -> SweepRecord:
+    """Simulate one OFDM-SPM operating point.
+
+    snr_index is the point's position in the sweep grid; it enters the
+    batch seed derivation, so standalone calls default to 0.
+    """
+    pair = cfg.pair()
+    threshold = detection_threshold(pair)
+    (ber_power_sim, ber_bpsk_sim), snr_eff = _simulate_point(
+        cfg, snr_db, snr_index, pair,
+        lambda bits: constellation_point(bits[:, 0], bits[:, 1], pair),
+        (lambda s: detect_power_bit(s, threshold), detect_bpsk_bit),
+    )
     breakdown = ber_breakdown(snr_eff, pair)
+    bits_per_stream = cfg.data_subcarriers * cfg.ofdm_symbols
     return SweepRecord(
         snr_db=float(snr_db),
         ber_power_sim=ber_power_sim,
@@ -290,18 +277,25 @@ def _simulate_point(cfg: SimConfig, snr_db: float, snr_index: int, baseline: boo
     )
 
 
-def run_point(cfg: SimConfig, snr_db: float, snr_index: int = 0) -> SweepRecord:
-    """Simulate one OFDM-SPM operating point.
-
-    snr_index is the point's position in the sweep grid; it enters the
-    batch seed derivation, so standalone calls default to 0.
-    """
-    return _simulate_point(cfg, snr_db, snr_index, baseline=False)
-
-
 def run_baseline_point(cfg: SimConfig, snr_db: float, snr_index: int = 0) -> SweepRecord:
     """Simulate plain OFDM-BPSK (one bit per subcarrier, unit energy)."""
-    return _simulate_point(cfg, snr_db, snr_index, baseline=True)
+    (ber_bpsk_sim,), snr_eff = _simulate_point(
+        cfg, snr_db, snr_index, None, lambda bits: map_bpsk(bits[:, 0]), (detect_bpsk_bit,)
+    )
+    theory = rayleigh_bpsk_ber(snr_eff)
+    return SweepRecord(
+        snr_db=float(snr_db),
+        ber_power_sim=math.nan,
+        ber_bpsk_sim=ber_bpsk_sim,
+        ber_total_sim=ber_bpsk_sim,
+        ber_power_theory=math.nan,
+        ber_bpsk_theory=theory,
+        ber_total_theory=theory,
+        throughput=1.0 - ber_bpsk_sim,
+        bits_power=0,
+        bits_bpsk=cfg.data_subcarriers * cfg.ofdm_symbols,
+        seed=cfg.master_seed,
+    )
 
 
 def _sweep(cfg: SimConfig, point_fn) -> list[SweepRecord]:

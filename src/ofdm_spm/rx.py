@@ -6,41 +6,30 @@ threshold T, the BPSK bit only at the sign of the in-phase component.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-
 import numpy as np
 
-from .core import PowerPair, SpmFrameBits, SubcarrierLayout, detection_threshold
-from .transforms import fft_unitary
-from .tx import FreqGrid, TimeSymbol
+from .core import SubcarrierLayout
 
 # gains below this magnitude are treated as unusable (erased subcarrier)
 GAIN_FLOOR = 1e-12
 
 
-@dataclass(eq=False)
-class EqualizedGrid:
-    """Per-data-subcarrier symbol estimates after zero-forcing."""
+def ofdm_demodulate(samples, layout: SubcarrierLayout, cp_len: int) -> np.ndarray:
+    """Time samples (..., fft_size + cp_len) to data-bin values (..., n).
 
-    symbols: np.ndarray = field(repr=False)
-    erased: np.ndarray = field(repr=False)
-
-    def __post_init__(self):
-        self.symbols = np.asarray(self.symbols, dtype=np.complex128)
-        self.erased = np.asarray(self.erased, dtype=bool)
-        if self.symbols.shape != self.erased.shape:
-            raise ValueError("symbols and erased mask must have equal shape")
-
-
-def ofdm_demodulate(sym: TimeSymbol, layout: SubcarrierLayout) -> FreqGrid:
-    """Strip the cyclic prefix and return to the frequency grid."""
-    expected = layout.fft_size + sym.cp_len
-    if sym.samples.size != expected:
+    Strips the cyclic prefix and applies the unitary DFT, the exact
+    inverse of ofdm_modulate. Leading axes are a batch.
+    """
+    samples = np.asarray(samples)
+    size = layout.fft_size
+    if not 0 <= cp_len < size:
+        raise ValueError(f"cp_len must be in [0, {size}), got {cp_len}")
+    if samples.shape[-1:] != (size + cp_len,):
         raise ValueError(
-            f"expected {expected} samples (N={layout.fft_size} + "
-            f"cp={sym.cp_len}), got {sym.samples.size}"
+            f"expected {size + cp_len} samples (N={size} + cp={cp_len}) "
+            f"on the last axis, got shape {samples.shape}"
         )
-    return FreqGrid(bins=fft_unitary(sym.samples[sym.cp_len :]), layout=layout)
+    return np.fft.fft(samples[..., cp_len:], norm="ortho")[..., layout.data_bins]
 
 
 def equalize_symbols(received, gains):
@@ -55,26 +44,6 @@ def equalize_symbols(received, gains):
     erased = np.abs(h) < GAIN_FLOOR
     symbols = np.divide(y, np.where(erased, 1.0, h))
     return np.where(erased, 0.0, symbols), erased
-
-
-def equalize(received: FreqGrid, gains) -> EqualizedGrid:
-    """Zero-forcing equalization of the data bins with perfect CSI.
-
-    `gains` is the complex channel response, either over all FFT bins
-    (length fft_size, e.g. ChannelRealization.freq_response) or already
-    restricted to the data bins (length n).
-    """
-    gains = np.asarray(gains)
-    layout = received.layout
-    if gains.shape == (layout.fft_size,):
-        gains = gains[layout.data_bins]
-    elif gains.shape != (layout.n,):
-        raise ValueError(
-            f"gains must cover all {layout.fft_size} bins or the "
-            f"{layout.n} data bins, got shape {gains.shape}"
-        )
-    symbols, erased = equalize_symbols(received.data, gains)
-    return EqualizedGrid(symbols=symbols, erased=erased)
 
 
 def detect_power_bit(s, t: float):
@@ -93,13 +62,3 @@ def detect_bpsk_bit(s):
     """BPSK decision on the sign of the in-phase part: 1 if Re(s) > 0."""
     s = np.asarray(s)
     return (s.real > 0).astype(np.int8)
-
-
-def receive_frame(sym: TimeSymbol, gains, pair: PowerPair, layout: SubcarrierLayout) -> SpmFrameBits:
-    """Full receiver for one symbol: demodulate, equalize, detect both streams."""
-    eq = equalize(ofdm_demodulate(sym, layout), gains)
-    t = detection_threshold(pair)
-    return SpmFrameBits(
-        power_bits=detect_power_bit(eq.symbols, t),
-        bpsk_bits=detect_bpsk_bit(eq.symbols),
-    )

@@ -1,71 +1,27 @@
-"""Transmit side: map substreams onto the frequency grid, then to time domain."""
+"""Transmit side: data-bin points onto the FFT grid, then to time domain."""
 from __future__ import annotations
-
-from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import PowerPair, SpmFrameBits, SubcarrierLayout, constellation_point
-from .transforms import ifft_unitary
+from .core import SubcarrierLayout
 
 
-@dataclass(eq=False)
-class FreqGrid:
-    """Complex values on all FFT bins plus the layout that produced them."""
+def ofdm_modulate(points, layout: SubcarrierLayout, cp_len: int) -> np.ndarray:
+    """Data-bin points (..., n) to time samples (..., fft_size + cp_len).
 
-    bins: np.ndarray = field(repr=False)
-    layout: SubcarrierLayout = None
-
-    def __post_init__(self):
-        self.bins = np.asarray(self.bins, dtype=np.complex128)
-        if self.layout is None:
-            raise ValueError("FreqGrid needs a SubcarrierLayout")
-        if self.bins.shape != (self.layout.fft_size,):
-            raise ValueError(
-                f"expected {self.layout.fft_size} bins, got shape {self.bins.shape}"
-            )
-
-    @property
-    def data(self) -> np.ndarray:
-        """View of the data-bin values in subcarrier order."""
-        return self.bins[self.layout.data_bins]
-
-
-@dataclass(eq=False)
-class TimeSymbol:
-    """One OFDM symbol in time domain, cyclic prefix included."""
-
-    samples: np.ndarray = field(repr=False)
-    cp_len: int = 0
-
-    def __post_init__(self):
-        self.samples = np.asarray(self.samples, dtype=np.complex128)
-        if self.samples.ndim != 1:
-            raise ValueError("samples must be one-dimensional")
-        if not 0 <= self.cp_len < self.samples.size:
-            raise ValueError(
-                f"cp_len {self.cp_len} invalid for {self.samples.size} samples"
-            )
-
-
-def assemble_grid(frame: SpmFrameBits, pair: PowerPair, layout: SubcarrierLayout) -> FreqGrid:
-    """Place the frame's constellation points on the data bins, guards zero."""
-    if frame.n != layout.n:
+    Guard bins stay zero. The IDFT carries the unitary 1/sqrt(N) scaling,
+    so symbol energy is the same in both domains, and the cyclic prefix
+    is a copy of the last cp_len samples. Leading axes are a batch.
+    """
+    points = np.asarray(points)
+    size = layout.fft_size
+    if points.shape[-1:] != (layout.n,):
         raise ValueError(
-            f"frame carries {frame.n} subcarriers, layout expects {layout.n}"
+            f"expected {layout.n} data-bin points on the last axis, got shape {points.shape}"
         )
-    bins = np.zeros(layout.fft_size, dtype=np.complex128)
-    bins[layout.data_bins] = constellation_point(
-        frame.power_bits, frame.bpsk_bits, pair
-    )
-    return FreqGrid(bins=bins, layout=layout)
-
-
-def ofdm_modulate(grid: FreqGrid, cp_len: int) -> TimeSymbol:
-    """Unitary IFFT plus cyclic prefix (copy of the last cp_len samples)."""
-    n = grid.layout.fft_size
-    if not 0 <= cp_len < n:
-        raise ValueError(f"cp_len must be in [0, {n}), got {cp_len}")
-    body = ifft_unitary(grid.bins)
-    samples = np.concatenate([body[n - cp_len :], body]) if cp_len else body
-    return TimeSymbol(samples=samples, cp_len=cp_len)
+    if not 0 <= cp_len < size:
+        raise ValueError(f"cp_len must be in [0, {size}), got {cp_len}")
+    grid = np.zeros(points.shape[:-1] + (size,), dtype=np.complex128)
+    grid[..., layout.data_bins] = points
+    body = np.fft.ifft(grid, norm="ortho")
+    return np.concatenate([body[..., size - cp_len :], body], axis=-1) if cp_len else body

@@ -159,6 +159,12 @@ class TestShapes:
         with pytest.raises(ValueError):
             ber_level(10.0, -0.5)
 
+    def test_nan_snr_rejected(self):
+        with pytest.raises(ValueError, match="NaN"):
+            rayleigh_bpsk_ber(float("nan"))
+        with pytest.raises(ValueError, match="NaN"):
+            ber_power(np.array([1.0, float("nan")]), SAVING)
+
 
 class TestBreakdown:
     def test_consistent_with_parts(self):

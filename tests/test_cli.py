@@ -15,6 +15,7 @@ from ofdm_spm import (
     Policy,
     SimConfig,
     ber_total,
+    mean_ber_objective,
     power_pair_for,
     run_sweep,
     scan_levels,
@@ -56,6 +57,15 @@ class TestTheory:
         assert proc.returncode == 0
         assert proc.stdout == ""
         assert len(out.read_text().splitlines()) == 3
+
+    def test_high_auto_scans_the_given_grid(self):
+        grid = mean_ber_objective((-10.0,))
+        high = scan_levels(Policy.POWER_SAVING, grid).pair.high
+        assert high == pytest.approx(1.24)
+        auto = run_cli("theory", "--high", "auto", "--snr-grid", "-10")
+        fixed = run_cli("theory", "--high", repr(high), "--snr-grid", "-10")
+        assert auto.returncode == 0, auto.stderr
+        assert auto.stdout == fixed.stdout
 
 
 class TestSimulate:
@@ -138,6 +148,12 @@ class TestSweep:
         proc = run_cli("sweep", "--seed", "0", "--cp-len", "7")
         assert proc.returncode == 2
         assert "error:" in proc.stderr
+
+    def test_nan_snr_fails_cleanly(self):
+        proc = run_cli("sweep", "--snr-grid", "nan", "--seed", "1")
+        assert proc.returncode == 2
+        assert proc.stdout == ""
+        assert proc.stderr.count("\n") == 1 and "NaN" in proc.stderr
 
 
 class TestBaseline:

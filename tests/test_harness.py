@@ -63,6 +63,7 @@ class TestConfigValidation:
             dict(high_factor=1.45),
             dict(policy=Policy.REALLOC_OPTIMIZED, high_factor=1.0),
             dict(delays=(1, 3), powers_db=(0.0, -3.0)),
+            dict(snr_db_grid=(0.0, math.nan)),
         ],
     )
     def test_rejects(self, kw):
@@ -104,6 +105,10 @@ class TestNoiseDensity:
         with pytest.raises(ValueError):
             SimConfig().noise_density(-INF, None)
 
+    def test_nan_rejected(self):
+        with pytest.raises(ValueError):
+            SimConfig().noise_density(math.nan, None)
+
 
 class TestNoiselessLoopback:
     @pytest.mark.parametrize(
@@ -130,6 +135,12 @@ class TestNoiselessLoopback:
 
     def test_flat_channel(self):
         rec = run_point(_tiny(channel_mode="flat"), INF)
+        assert rec.ber_total_sim == 0.0
+
+    def test_fft_size_above_4096(self):
+        cfg = _tiny(fft_size=8192, data_subcarriers=6000, ofdm_symbols=4)
+        rec = run_point(cfg, INF)
+        assert rec.bits_counted == 2 * 6000 * 4
         assert rec.ber_total_sim == 0.0
 
 

@@ -7,49 +7,56 @@ import pytest
 
 from ofdm_spm import (
     Policy,
+    constellation_point,
     default_layout,
     detect_bpsk_bit,
     detect_power_bit,
     detection_threshold,
-    equalize,
     equalize_symbols,
     ofdm_demodulate,
     ofdm_modulate,
-    assemble_grid,
     power_pair_for,
-    receive_frame,
-    split_bitstream,
-    merge_bitstream,
 )
 from ofdm_spm.channel import (
     add_awgn,
     apply_channel,
+    channel_frequency_response,
     default_profile,
-    draw_channel,
+    draw_taps,
 )
-from ofdm_spm.tx import TimeSymbol
 
 
-def _random_frame(rng, n=52):
-    return split_bitstream(rng.integers(0, 2, size=2 * n), n)
+def _random_bits(rng, frames, n=52):
+    """Power and BPSK bits of `frames` symbols, shape (2, frames, n)."""
+    return rng.integers(0, 2, size=(2, frames, n)).astype(np.int8)
+
+
+def _receive(samples, gains, pair, lay, cp_len):
+    """Demodulate, equalize and detect both streams, as the harness does."""
+    symbols, _ = equalize_symbols(ofdm_demodulate(samples, lay, cp_len), gains)
+    return np.stack(
+        [detect_power_bit(symbols, detection_threshold(pair)), detect_bpsk_bit(symbols)]
+    )
 
 
 class TestDemodulate:
     def test_round_trip(self):
         lay = default_layout()
         pair = power_pair_for(Policy.POWER_SAVING, 1.35)
-        rng = np.random.default_rng(80)
-        for _ in range(20):
-            grid = assemble_grid(_random_frame(rng), pair, lay)
-            sym = ofdm_modulate(grid, cp_len=16)
-            back = ofdm_demodulate(sym, lay)
-            np.testing.assert_allclose(back.bins, grid.bins, atol=1e-12)
+        bits = _random_bits(np.random.default_rng(80), 20)
+        points = constellation_point(bits[0], bits[1], pair)
+        back = ofdm_demodulate(ofdm_modulate(points, lay, 16), lay, 16)
+        assert back.shape == (20, 52)
+        np.testing.assert_allclose(back, points, atol=1e-12)
 
     def test_length_checked(self):
         lay = default_layout()
-        sym = TimeSymbol(samples=np.zeros(70, dtype=complex), cp_len=16)
         with pytest.raises(ValueError):
-            ofdm_demodulate(sym, lay)
+            ofdm_demodulate(np.zeros(70, dtype=complex), lay, 16)
+        with pytest.raises(ValueError):
+            ofdm_demodulate(np.zeros((3, 79), dtype=complex), lay, 16)
+        with pytest.raises(ValueError):
+            ofdm_demodulate(np.zeros(128, dtype=complex), lay, 64)
 
 
 class TestEqualize:
@@ -78,25 +85,6 @@ class TestEqualize:
         # Erased estimate decodes as bits (0, 0).
         assert detect_power_bit(s[1], 0.5) == 0
         assert detect_bpsk_bit(s[1]) == 0
-
-    def test_grid_level_gain_slicing(self):
-        lay = default_layout()
-        pair = power_pair_for(Policy.POWER_SAVING, 1.35)
-        rng = np.random.default_rng(82)
-        grid = assemble_grid(_random_frame(rng), pair, lay)
-        gains_full = rng.normal(size=64) + 1j * rng.normal(size=64)
-        faded = type(grid)(bins=grid.bins * gains_full, layout=lay)
-        eq_full = equalize(faded, gains_full)
-        eq_data = equalize(faded, gains_full[lay.data_bins])
-        np.testing.assert_allclose(eq_full.symbols, eq_data.symbols, atol=1e-12)
-        np.testing.assert_allclose(eq_full.symbols, grid.data, atol=1e-12)
-
-    def test_gain_shape_checked(self):
-        lay = default_layout()
-        pair = power_pair_for(Policy.POWER_SAVING, 1.35)
-        grid = assemble_grid(_random_frame(np.random.default_rng(83)), pair, lay)
-        with pytest.raises(ValueError):
-            equalize(grid, np.ones(13, dtype=complex))
 
 
 class TestPowerDetector:
@@ -166,52 +154,29 @@ class TestFullReceiver:
     def test_noiseless_identity_loopback(self, policy, factor):
         lay = default_layout()
         pair = power_pair_for(policy, factor)
-        rng = np.random.default_rng(88)
-        ones = np.ones(64, dtype=complex)
-        for _ in range(10):
-            frame = _random_frame(rng)
-            sym = ofdm_modulate(assemble_grid(frame, pair, lay), cp_len=16)
-            out = receive_frame(sym, ones, pair, lay)
-            np.testing.assert_array_equal(out.power_bits, frame.power_bits)
-            np.testing.assert_array_equal(out.bpsk_bits, frame.bpsk_bits)
+        bits = _random_bits(np.random.default_rng(88), 10)
+        samples = ofdm_modulate(constellation_point(bits[0], bits[1], pair), lay, 16)
+        np.testing.assert_array_equal(_receive(samples, 1.0, pair, lay, 16), bits)
 
     def test_noiseless_multipath_loopback(self):
         # CP covers the delay spread, so equalization is exact.
         lay = default_layout()
         pair = power_pair_for(Policy.POWER_SAVING, 1.35)
-        prof = default_profile()
         rng = np.random.default_rng(89)
-        for _ in range(10):
-            frame = _random_frame(rng)
-            chan = draw_channel(prof, rng, fft_size=64)
-            sym = ofdm_modulate(assemble_grid(frame, pair, lay), cp_len=16)
-            rx_samples = apply_channel(sym.samples, chan)
-            out = receive_frame(
-                TimeSymbol(samples=rx_samples, cp_len=16),
-                chan.freq_response,
-                pair,
-                lay,
-            )
-            np.testing.assert_array_equal(
-                merge_bitstream(out), merge_bitstream(frame)
-            )
+        bits = _random_bits(rng, 10)
+        taps = draw_taps(default_profile(), 10, rng)
+        samples = ofdm_modulate(constellation_point(bits[0], bits[1], pair), lay, 16)
+        gains = channel_frequency_response(taps, 64)[:, lay.data_bins]
+        out = _receive(apply_channel(samples, taps), gains, pair, lay, 16)
+        np.testing.assert_array_equal(out, bits)
 
     def test_overwhelming_noise_gives_coin_flip_ber(self):
         lay = default_layout()
         pair = power_pair_for(Policy.POWER_SAVING, 1.35)
         rng = np.random.default_rng(90)
-        ones = np.ones(64, dtype=complex)
-        err_p = err_b = 0
-        frames = 2000
-        for _ in range(frames):
-            frame = _random_frame(rng)
-            sym = ofdm_modulate(assemble_grid(frame, pair, lay), cp_len=0)
-            noisy = add_awgn(sym.samples, 1e4, rng)
-            out = receive_frame(
-                TimeSymbol(samples=noisy, cp_len=0), ones, pair, lay
-            )
-            err_p += int(np.sum(out.power_bits != frame.power_bits))
-            err_b += int(np.sum(out.bpsk_bits != frame.bpsk_bits))
-        n = frames * 52
-        assert err_p / n == pytest.approx(0.5, abs=0.01)
-        assert err_b / n == pytest.approx(0.5, abs=0.01)
+        bits = _random_bits(rng, 2000)
+        samples = ofdm_modulate(constellation_point(bits[0], bits[1], pair), lay, 0)
+        out = _receive(add_awgn(samples, 1e4, rng), 1.0, pair, lay, 0)
+        err_p, err_b = np.mean(out != bits, axis=(1, 2))
+        assert err_p == pytest.approx(0.5, abs=0.01)
+        assert err_b == pytest.approx(0.5, abs=0.01)

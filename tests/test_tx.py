@@ -1,4 +1,4 @@
-"""Grid assembly and OFDM modulation."""
+"""Placement on the frequency grid and OFDM modulation."""
 
 from __future__ import annotations
 
@@ -6,24 +6,23 @@ import numpy as np
 import pytest
 
 from ofdm_spm import (
-    FreqGrid,
     Policy,
     PowerPair,
-    SpmFrameBits,
-    TimeSymbol,
-    assemble_grid,
+    constellation_point,
     default_layout,
     ofdm_modulate,
     power_pair_for,
-    split_bitstream,
 )
 
 
-def _frame(bp, bb):
-    return SpmFrameBits(
-        power_bits=np.asarray(bp, dtype=np.int8),
-        bpsk_bits=np.asarray(bb, dtype=np.int8),
-    )
+def _random_points(rng, pair, shape=(52,)):
+    bits = rng.integers(0, 2, size=(2,) + shape)
+    return constellation_point(bits[0], bits[1], pair)
+
+
+def _grid(samples, cp_len=0):
+    """All FFT bins of modulated samples, read back with an independent FFT."""
+    return np.fft.fft(samples[..., cp_len:], norm="ortho")
 
 
 class TestAssemble:
@@ -32,100 +31,70 @@ class TestAssemble:
         lay = default_layout(4, 2)
         np.testing.assert_array_equal(lay.guard_bins, [0, 2])
         pair = PowerPair(low=0.5, high=np.sqrt(1.75), budget=2.0)
-        grid = assemble_grid(_frame([1, 0], [1, 1]), pair, lay)
+        points = constellation_point([1, 0], [1, 1], pair)
         np.testing.assert_allclose(
-            grid.bins, [0.0, np.sqrt(1.75), 0.0, 0.5], atol=1e-15
+            _grid(ofdm_modulate(points, lay, 0)),
+            [0.0, np.sqrt(1.75), 0.0, 0.5],
+            atol=1e-15,
         )
-        np.testing.assert_allclose(grid.data, [np.sqrt(1.75), 0.5])
 
     def test_guards_stay_zero(self):
         lay = default_layout()
         pair = power_pair_for(Policy.POWER_SAVING, 1.35)
-        rng = np.random.default_rng(70)
-        frame = split_bitstream(rng.integers(0, 2, size=104), 52)
-        grid = assemble_grid(frame, pair, lay)
-        assert not grid.bins[lay.guard_bins].any()
-        assert grid.bins[lay.data_bins].all()
-        # All points real for this mapping.
-        assert not grid.bins.imag.any()
+        points = _random_points(np.random.default_rng(70), pair)
+        grid = _grid(ofdm_modulate(points, lay, 16), 16)
+        np.testing.assert_allclose(grid[lay.guard_bins], 0.0, atol=1e-15)
+        np.testing.assert_allclose(grid[lay.data_bins], points, atol=1e-14)
+        assert np.all(np.abs(grid[lay.data_bins]) > 0.4)
 
     def test_frame_size_checked(self):
         lay = default_layout()
-        pair = power_pair_for(Policy.POWER_SAVING, 1.35)
         with pytest.raises(ValueError):
-            assemble_grid(_frame([1, 0], [1, 1]), pair, lay)
+            ofdm_modulate(np.ones(2), lay, 16)
+        with pytest.raises(ValueError):
+            ofdm_modulate(np.ones((3, 53)), lay, 16)
 
     def test_mean_grid_energy_is_half_budget_per_subcarrier(self):
         lay = default_layout()
         pair = power_pair_for(Policy.REALLOC_OPTIMIZED, 1.918)
-        rng = np.random.default_rng(71)
-        total = 0.0
         frames = 400
-        for _ in range(frames):
-            frame = split_bitstream(rng.integers(0, 2, size=104), 52)
-            grid = assemble_grid(frame, pair, lay)
-            total += np.sum(np.abs(grid.bins) ** 2)
+        points = _random_points(np.random.default_rng(71), pair, (frames, 52))
+        samples = ofdm_modulate(points, lay, 0)
         # 52 data bins at budget/2 average energy each
-        assert total / frames == pytest.approx(52 * 2.0, rel=0.02)
-
-
-class TestGridTypes:
-    def test_grid_shape_checked(self):
-        lay = default_layout(8, 3)
-        with pytest.raises(ValueError):
-            FreqGrid(bins=np.zeros(9, dtype=complex), layout=lay)
-
-    def test_symbol_cp_range_checked(self):
-        with pytest.raises(ValueError):
-            TimeSymbol(samples=np.zeros(8, dtype=complex), cp_len=8)
-        with pytest.raises(ValueError):
-            TimeSymbol(samples=np.zeros(8, dtype=complex), cp_len=-1)
-        with pytest.raises(ValueError):
-            TimeSymbol(samples=np.zeros((2, 8), dtype=complex), cp_len=0)
+        assert np.sum(np.abs(samples) ** 2) / frames == pytest.approx(52 * 2.0, rel=0.02)
 
 
 class TestModulate:
     def test_dc_only_grid(self):
         # Energy only on bin 0 gives a constant time signal of 1/sqrt(N) scale.
         lay = default_layout(4, 4)
-        grid = FreqGrid(bins=np.array([0.5, 0, 0, 0], dtype=complex), layout=lay)
-        sym = ofdm_modulate(grid, cp_len=0)
-        np.testing.assert_allclose(sym.samples, np.full(4, 0.25), atol=1e-15)
+        samples = ofdm_modulate(np.array([0.5, 0, 0, 0], dtype=complex), lay, 0)
+        np.testing.assert_allclose(samples, np.full(4, 0.25), atol=1e-15)
 
     def test_cp_is_tail_copy(self):
         lay = default_layout()
         pair = power_pair_for(Policy.POWER_SAVING, 1.35)
-        rng = np.random.default_rng(72)
-        frame = split_bitstream(rng.integers(0, 2, size=104), 52)
-        sym = ofdm_modulate(assemble_grid(frame, pair, lay), cp_len=16)
-        assert sym.samples.size == 80
-        assert sym.cp_len == 16
-        np.testing.assert_array_equal(sym.samples[:16], sym.samples[64:])
+        samples = ofdm_modulate(_random_points(np.random.default_rng(72), pair), lay, 16)
+        assert samples.shape == (80,)
+        np.testing.assert_array_equal(samples[:16], samples[64:])
 
     def test_zero_cp(self):
         lay = default_layout()
         pair = power_pair_for(Policy.POWER_SAVING, 1.35)
-        frame = split_bitstream(np.zeros(104, dtype=np.int8), 52)
-        sym = ofdm_modulate(assemble_grid(frame, pair, lay), cp_len=0)
-        assert sym.samples.size == 64
+        points = constellation_point(np.zeros(52), np.zeros(52), pair)
+        assert ofdm_modulate(points, lay, 0).shape == (64,)
 
     def test_energy_preserved(self):
         lay = default_layout()
         pair = power_pair_for(Policy.REALLOC_NON_OPTIMIZED, 1.732)
-        rng = np.random.default_rng(73)
-        frame = split_bitstream(rng.integers(0, 2, size=104), 52)
-        grid = assemble_grid(frame, pair, lay)
-        sym = ofdm_modulate(grid, cp_len=0)
-        assert np.sum(np.abs(sym.samples) ** 2) == pytest.approx(
-            np.sum(np.abs(grid.bins) ** 2)
-        )
+        points = _random_points(np.random.default_rng(73), pair)
+        samples = ofdm_modulate(points, lay, 0)
+        assert np.sum(np.abs(samples) ** 2) == pytest.approx(np.sum(np.abs(points) ** 2))
 
     def test_cp_bounds_checked(self):
         lay = default_layout()
-        pair = power_pair_for(Policy.POWER_SAVING, 1.35)
-        frame = split_bitstream(np.zeros(104, dtype=np.int8), 52)
-        grid = assemble_grid(frame, pair, lay)
+        points = np.ones(52)
         with pytest.raises(ValueError):
-            ofdm_modulate(grid, cp_len=64)
+            ofdm_modulate(points, lay, 64)
         with pytest.raises(ValueError):
-            ofdm_modulate(grid, cp_len=-1)
+            ofdm_modulate(points, lay, -1)
