@@ -89,9 +89,10 @@ def channel_frequency_response(taps, fft_size: int) -> np.ndarray:
     Works on a single tap vector or a batch (last axis = delay).
     """
     taps = np.asarray(taps)
-    if taps.shape[-1] > fft_size:
+    depth = taps.shape[-1]
+    if depth > fft_size:
         raise ValueError(
-            f"delay spread {taps.shape[-1] - 1} does not fit an FFT of size {fft_size}"
+            f"delay spread {depth - 1} does not fit an FFT of size {fft_size}"
         )
     return np.fft.fft(taps, fft_size)
 
