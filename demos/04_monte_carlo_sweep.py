@@ -5,8 +5,12 @@ so the whole script stays under ~10 s) and prints simulated next to
 theoretical rates. The flat-fading run should track theory to within
 counting noise; the multipath run shares the per-subcarrier Rayleigh
 statistics, so its averages land on the same curves even though gains
-are correlated across subcarriers.
+are correlated across subcarriers. The multipath records go to a CSV
+in a new temporary directory, whose path is printed.
 """
+
+import os
+import tempfile
 
 from ofdm_spm import SimConfig, run_baseline_ofdm_bpsk, run_sweep, write_csv
 
@@ -46,7 +50,7 @@ def main():
     base = run_baseline_ofdm_bpsk(flat)
     show("plain OFDM-BPSK baseline, flat Rayleigh", base)
 
-    out = "sweep_multipath.csv"
+    out = os.path.join(tempfile.mkdtemp(prefix="ofdm_spm_demo_"), "sweep_multipath.csv")
     write_csv(records, out)
     print(f"multipath records written to {out} (fixed column set, repr floats;")
     print("rerunning with the same seed reproduces the file byte for byte)")

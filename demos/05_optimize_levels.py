@@ -4,7 +4,9 @@ The optimizer walks H upward in 0.01 steps with L derived from the
 budget at each step, keeping the pair that minimizes the mean
 closed-form total BER over the standard grid. The same scan accepts a
 Monte Carlo objective; common random numbers keep that variant
-deterministic too, at the price of simulation time.
+deterministic too. It simulates the link once per SNR point and batch
+and scores every candidate on that one draw, so a candidate costs a
+detection pass, not a simulation.
 """
 
 import numpy as np

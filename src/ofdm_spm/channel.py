@@ -30,7 +30,7 @@ def make_profile(delays, powers_db) -> ChannelProfile:
     """Validate a delay/power table and normalize powers to unit sum.
 
     Delays are integer sample offsets, strictly increasing from a first
-    tap at 0. Powers are relative dB values; the absolute scale is
+    tap at 0. Powers are finite relative dB values; the absolute scale is
     irrelevant because the linear powers are renormalized to sum(p_k) = 1.
     """
     d = np.asarray(delays)
@@ -39,6 +39,8 @@ def make_profile(delays, powers_db) -> ChannelProfile:
         raise ValueError("delays and powers_db must be 1-D and equally long")
     if d.size == 0:
         raise ValueError("profile needs at least one tap")
+    if not np.isfinite(p_db).all():
+        raise ValueError(f"powers_db must be finite, got {tuple(p_db.tolist())}")
     if not np.issubdtype(d.dtype, np.integer):
         if not np.all(d == np.round(d)):
             raise ValueError("delays must be integer sample offsets")

@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import concurrent.futures
 import csv
-import dataclasses
 import math
 import os
 from dataclasses import dataclass
@@ -42,6 +41,16 @@ from .tx import ofdm_modulate
 
 CHANNEL_MODES = ("multipath", "flat", "identity")
 SNR_CONVENTIONS = ("subcarrier", "per_bit")
+INTEGER_FIELDS = (
+    "fft_size",
+    "data_subcarriers",
+    "cp_len",
+    "ofdm_symbols",
+    "coherence_block",
+    "master_seed",
+    "batch_symbols",
+    "workers",
+)
 
 CSV_COLUMNS = (
     "snr_db",
@@ -88,6 +97,10 @@ class SimConfig:
     workers: int = 1
 
     def __post_init__(self):
+        for name in INTEGER_FIELDS:
+            value = getattr(self, name)
+            if not isinstance(value, (int, np.integer)) or isinstance(value, bool):
+                raise ValueError(f"{name} must be an integer, got {value!r}")
         n, g = self.fft_size, self.guard_count
         if n < 2 or n & (n - 1):
             raise ValueError(f"fft_size must be a power of two >= 2, got {n}")
@@ -121,7 +134,7 @@ class SimConfig:
             raise ValueError("batch_symbols must be >= 1")
         if self.workers < 1:
             raise ValueError("workers must be >= 1")
-        if not isinstance(self.master_seed, (int, np.integer)) or self.master_seed < 0:
+        if self.master_seed < 0:
             raise ValueError("master_seed must be a nonnegative integer")
         if self.channel_mode == "multipath":
             profile = self.profile()  # validates delays/powers
@@ -206,23 +219,21 @@ def _expand_blocks(per_block, block: int, count: int):
     return np.repeat(per_block, block, axis=0)[:count]
 
 
-def _simulate_point(cfg: SimConfig, snr_db: float, snr_index: int, pair, mapper, detectors):
+def _draws(cfg: SimConfig, snr_index: int, n0: float, streams: int, mapper):
     """Run the link chain over every batch of one SNR point.
 
-    mapper turns bits of shape (count, streams, n) into data-bin points;
-    detectors holds one decision function per stream. Returns the error
-    rate of each stream and the effective per-subcarrier SNR.
+    Yields (bits, equalized symbols) per batch: bits of shape
+    (count, streams, n), which mapper turns into data-bin points, and the
+    zero-forced data bins of shape (count, n).
     """
     layout = cfg.layout()
     n, cp, block = layout.n, cfg.cp_len, cfg.coherence_block
     profile = cfg.profile() if cfg.channel_mode == "multipath" else None
-    n0 = cfg.noise_density(snr_db, pair)
-    errors = [0] * len(detectors)
     for batch_index, count in _batch_plan(cfg.ofdm_symbols, cfg.batch_symbols, block):
         rng = _batch_rng(cfg.master_seed, snr_index, batch_index)
         # draw order is part of the determinism contract: bits, fading, noise
-        bits = rng.integers(0, 2, size=(count, len(detectors) * n), dtype=np.int8)
-        bits = bits.reshape(count, len(detectors), n)
+        bits = rng.integers(0, 2, size=(count, streams * n), dtype=np.int8)
+        bits = bits.reshape(count, streams, n)
         points = mapper(bits)
         blocks = -(-count // block)
         gains = 1.0
@@ -240,11 +251,38 @@ def _simulate_point(cfg: SimConfig, snr_db: float, snr_index: int, pair, mapper,
             x = apply_channel(x, _expand_blocks(taps, block, count))
         y = add_awgn(x, n0, rng)
         symbols, _ = equalize_symbols(ofdm_demodulate(y, layout, cp), gains)
+        yield bits, symbols
+
+
+def _error_rates(cfg: SimConfig, batches, detectors):
+    """Error rate of each stream over one SNR point's (bits, symbols) batches."""
+    errors = [0] * len(detectors)
+    for bits, symbols in batches:
         for stream, detect in enumerate(detectors):
             errors[stream] += int(np.count_nonzero(detect(symbols) != bits[:, stream]))
-    bits_per_stream = n * cfg.ofdm_symbols
+    bits_per_stream = cfg.data_subcarriers * cfg.ofdm_symbols
+    return [e / bits_per_stream for e in errors]
+
+
+def _simulate_point(cfg: SimConfig, snr_db: float, snr_index: int, pair, mapper, detectors):
+    """Run one SNR point with one decision function per stream.
+
+    Returns the error rate of each stream and the effective per-subcarrier
+    SNR.
+    """
+    n0 = cfg.noise_density(snr_db, pair)
+    rates = _error_rates(cfg, _draws(cfg, snr_index, n0, len(detectors), mapper), detectors)
     snr_eff = 1.0 / n0 if n0 > 0 else math.inf
-    return [e / bits_per_stream for e in errors], snr_eff
+    return rates, snr_eff
+
+
+def _spm_link(pair: PowerPair):
+    """OFDM-SPM mapper and the (power, BPSK) detectors for one pair."""
+    threshold = detection_threshold(pair)
+    return (
+        lambda bits: constellation_point(bits[:, 0], bits[:, 1], pair),
+        (lambda s: detect_power_bit(s, threshold), detect_bpsk_bit),
+    )
 
 
 def run_point(cfg: SimConfig, snr_db: float, snr_index: int = 0) -> SweepRecord:
@@ -254,11 +292,8 @@ def run_point(cfg: SimConfig, snr_db: float, snr_index: int = 0) -> SweepRecord:
     batch seed derivation, so standalone calls default to 0.
     """
     pair = cfg.pair()
-    threshold = detection_threshold(pair)
     (ber_power_sim, ber_bpsk_sim), snr_eff = _simulate_point(
-        cfg, snr_db, snr_index, pair,
-        lambda bits: constellation_point(bits[:, 0], bits[:, 1], pair),
-        (lambda s: detect_power_bit(s, threshold), detect_bpsk_bit),
+        cfg, snr_db, snr_index, pair, *_spm_link(pair)
     )
     breakdown = ber_breakdown(snr_eff, pair)
     bits_per_stream = cfg.data_subcarriers * cfg.ofdm_symbols
@@ -317,18 +352,50 @@ def run_baseline_ofdm_bpsk(cfg: SimConfig) -> list[SweepRecord]:
     return _sweep(cfg, run_baseline_point)
 
 
+def _zero_points(bits):
+    return np.zeros(bits[:, 0].shape)
+
+
+def _noise_draw(cfg: SimConfig, snr_db: float, snr_index: int):
+    """Bits and Re(W / H) of every batch of one SNR point.
+
+    The chain runs on all-zero points, with the same seeds and draw order
+    as run_point. With the cyclic prefix covering the delay spread, the
+    equalized symbol of any (L, H) pair is X(L, H) + W / H up to rounding,
+    so these arrays carry everything a candidate's error count depends
+    on. (A subcarrier erased by a gain below GAIN_FLOOR would score X
+    instead of the chain's (0, 0); Rayleigh fading makes that event
+    probability zero.)
+    """
+    n0 = cfg.noise_density(snr_db, cfg.pair())  # depends on the policy budget only
+    draws = _draws(cfg, snr_index, n0, 2, _zero_points)
+    return [(bits, symbols.real.copy()) for bits, symbols in draws]
+
+
 def monte_carlo_objective(cfg: SimConfig):
     """Objective factory for scan_levels: mean simulated ber_total.
 
     Every candidate pair is evaluated with the same seeds (common random
     numbers), which makes comparisons between candidates much tighter than
-    the per-point noise level and keeps the scan deterministic.
+    the per-point noise level and keeps the scan deterministic. The chain
+    runs once per (SNR point, batch), when the factory is called, with the
+    SNR points spread over cfg.workers processes (one pool, if any). Each
+    candidate is then a detection pass over the stored draws that gives
+    the error counts run_sweep gives at that candidate's H. The draws hold
+    2 int8 bits and one float64 per data subcarrier and symbol, 10 bytes,
+    at every SNR point.
     """
+    draws = _sweep(cfg, _noise_draw)
 
     def objective(pair: PowerPair) -> float:
-        candidate = dataclasses.replace(cfg, high_factor=pair.high)
-        records = run_sweep(candidate)
-        return float(np.mean([r.ber_total_sim for r in records]))
+        # the pair run_sweep would build from a config with this H
+        mapper, detectors = _spm_link(power_pair_for(cfg.policy, pair.high))
+        totals = []
+        for batches in draws:
+            received = ((bits, mapper(bits) + noise) for bits, noise in batches)
+            ber_power_sim, ber_bpsk_sim = _error_rates(cfg, received, detectors)
+            totals.append(0.5 * (ber_power_sim + ber_bpsk_sim))
+        return float(np.mean(totals))
 
     return objective
 

@@ -59,6 +59,11 @@ class TestProfile:
         with pytest.raises(ValueError):
             make_profile([0, 1.5], [0.0, -1.0])
 
+    @pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan])
+    def test_rejects_non_finite_power(self, bad):
+        with pytest.raises(ValueError, match="finite"):
+            make_profile([0, 3, 5], [0.0, bad, -17.0])
+
 
 class TestTaps:
     def test_shape_and_sparsity(self):

@@ -155,6 +155,12 @@ class TestSweep:
         assert proc.stdout == ""
         assert proc.stderr.count("\n") == 1 and "NaN" in proc.stderr
 
+    def test_non_finite_tap_power_fails_cleanly(self):
+        proc = run_cli("sweep", "--powers-db", "0,inf,-17,-21,-25", "--seed", "1")
+        assert proc.returncode == 2
+        assert proc.stdout == ""
+        assert proc.stderr.count("\n") == 1 and "finite" in proc.stderr
+
 
 class TestBaseline:
     def test_baseline_runs(self, tmp_path):

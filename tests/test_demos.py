@@ -15,16 +15,21 @@ DEMOS = sorted((ROOT / "demos").glob("*.py"))
 
 @pytest.mark.parametrize("demo", DEMOS, ids=[d.name for d in DEMOS])
 def test_demo_runs(demo, tmp_path):
+    cwd, scratch = tmp_path / "cwd", tmp_path / "tmp"
+    cwd.mkdir()
+    scratch.mkdir()
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         p for p in (str(ROOT / "src"), env.get("PYTHONPATH")) if p
     )
+    env["TMPDIR"] = str(scratch)  # demo 04 writes its CSV to a temporary directory
     proc = subprocess.run(
         [sys.executable, str(demo)],
-        cwd=tmp_path,  # demo 04 writes its CSV to the working directory
+        cwd=cwd,
         env=env,
         capture_output=True,
         text=True,
         timeout=120,
     )
     assert proc.returncode == 0, proc.stderr
+    assert list(cwd.iterdir()) == []

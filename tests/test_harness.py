@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import concurrent.futures
+import dataclasses
 import io
 import math
 
@@ -24,6 +26,7 @@ from ofdm_spm import (
     scan_levels,
     write_csv,
 )
+from ofdm_spm import harness
 
 INF = float("inf")
 
@@ -64,11 +67,27 @@ class TestConfigValidation:
             dict(policy=Policy.REALLOC_OPTIMIZED, high_factor=1.0),
             dict(delays=(1, 3), powers_db=(0.0, -3.0)),
             dict(snr_db_grid=(0.0, math.nan)),
+            dict(ofdm_symbols=10.5),
+            dict(batch_symbols=2.5),
+            dict(master_seed=True),
+            dict(workers=1.5),
+            dict(coherence_block=2.0),
+            dict(fft_size=64.0),
+            dict(cp_len=True, channel_mode="flat"),
+            dict(data_subcarriers=52.0),
         ],
     )
     def test_rejects(self, kw):
         with pytest.raises(ValueError):
             SimConfig(**kw)
+
+    def test_integer_error_is_one_line(self):
+        with pytest.raises(ValueError, match=r"^ofdm_symbols must be an integer, got 10\.5$"):
+            SimConfig(ofdm_symbols=10.5)
+
+    def test_numpy_integers_accepted(self):
+        cfg = SimConfig(ofdm_symbols=np.int64(10), master_seed=np.uint32(3))
+        assert run_point(cfg, 10.0).bits_counted == 2 * 52 * 10
 
     def test_cp_must_cover_delay_spread(self):
         with pytest.raises(ValueError):
@@ -290,7 +309,88 @@ class TestCsv:
         assert a.read_bytes() == b.read_bytes()
 
 
+def _per_candidate_objective(cfg):
+    """Reference rule for the Monte Carlo objective: a whole sweep per candidate."""
+
+    def objective(pair):
+        records = run_sweep(dataclasses.replace(cfg, high_factor=pair.high))
+        return float(np.mean([r.ber_total_sim for r in records]))
+
+    return objective
+
+
+# (scan policy, SimConfig fields); every scan candidate must score exactly
+# what the reference rule gives it
+SCAN_CASES = {
+    "multipath_realloc_opt": (
+        Policy.REALLOC_OPTIMIZED,
+        dict(policy=Policy.REALLOC_OPTIMIZED, channel_mode="multipath",
+             snr_db_grid=(0.0, 10.0, 20.0), ofdm_symbols=300),
+    ),
+    "flat_saving": (
+        Policy.POWER_SAVING,
+        dict(channel_mode="flat", snr_db_grid=(0.0, 10.0, 20.0), ofdm_symbols=300),
+    ),
+    "multipath_per_bit_batches": (
+        Policy.REALLOC_OPTIMIZED,
+        dict(policy=Policy.REALLOC_OPTIMIZED, channel_mode="multipath",
+             snr_convention="per_bit", coherence_block=4, batch_symbols=256,
+             snr_db_grid=(0.0, 10.0), ofdm_symbols=700),
+    ),
+    "identity": (
+        Policy.POWER_SAVING,
+        dict(channel_mode="identity", snr_db_grid=(0.0, 5.0), ofdm_symbols=300),
+    ),
+}
+
+
 class TestMonteCarloObjective:
+    @pytest.mark.parametrize("case", SCAN_CASES)
+    def test_scan_equals_per_candidate_sweeps(self, case):
+        policy, fields = SCAN_CASES[case]
+        cfg = SimConfig(master_seed=11, **fields)
+        fast = scan_levels(policy, objective=monte_carlo_objective(cfg))
+        slow = scan_levels(policy, objective=_per_candidate_objective(cfg))
+        assert fast.trace_high.tolist() == slow.trace_high.tolist()
+        assert fast.trace_objective.tolist() == slow.trace_objective.tolist()
+        assert fast.pair == slow.pair
+        assert fast.trace_objective.min() > 0
+
+    def test_chain_runs_once_per_snr_point_and_batch(self, monkeypatch):
+        rows = []
+        modulate = harness.ofdm_modulate
+
+        def counting(points, layout, cp_len):
+            rows.append(points.shape[0])
+            return modulate(points, layout, cp_len)
+
+        monkeypatch.setattr(harness, "ofdm_modulate", counting)
+        cfg = SimConfig(ofdm_symbols=600, batch_symbols=256, snr_db_grid=(0.0, 10.0))
+        res = scan_levels(Policy.POWER_SAVING, objective=monte_carlo_objective(cfg))
+        assert res.trace_high.size == 37
+        assert rows == [256, 256, 88] * 2
+
+    def test_workers_share_one_pool_and_the_trace(self, monkeypatch):
+        starts = []
+
+        class CountingPool(concurrent.futures.ProcessPoolExecutor):
+            def __init__(self, *args, **kwargs):
+                starts.append(kwargs.get("max_workers"))
+                super().__init__(*args, **kwargs)
+
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", CountingPool)
+        fields = dict(ofdm_symbols=600, batch_symbols=256, snr_db_grid=(0.0, 10.0, 20.0),
+                      master_seed=2)
+        serial = scan_levels(
+            Policy.POWER_SAVING, objective=monte_carlo_objective(SimConfig(**fields))
+        )
+        assert starts == []
+        parallel = scan_levels(
+            Policy.POWER_SAVING, objective=monte_carlo_objective(SimConfig(workers=2, **fields))
+        )
+        assert starts == [2]
+        assert parallel.trace_objective.tolist() == serial.trace_objective.tolist()
+
     def test_deterministic_and_plausible(self):
         cfg = SimConfig(
             channel_mode="flat",
