@@ -10,9 +10,7 @@ import numpy as np
 
 from ofdm_spm import (
     Policy,
-    SpmFrameBits,
     constellation_point,
-    count_errors,
     default_layout,
     detect_bpsk_bit,
     detect_power_bit,
@@ -21,9 +19,14 @@ from ofdm_spm import (
     ofdm_demodulate,
     ofdm_modulate,
     power_pair_for,
-    split_bitstream,
 )
-from ofdm_spm.channel import add_awgn, apply_channel, default_profile, draw_channel
+from ofdm_spm.channel import (
+    add_awgn,
+    apply_channel,
+    channel_frequency_response,
+    default_profile,
+    draw_taps,
+)
 
 CP = 16
 
@@ -32,24 +35,23 @@ def run_once(n0: float, rng) -> None:
     layout = default_layout()
     pair = power_pair_for(Policy.POWER_SAVING, 1.35)
 
+    # the first 52 bits pick the power levels, the last 52 the signs
     bits = rng.integers(0, 2, size=104)
-    frame = split_bitstream(bits, 52)
-    points = constellation_point(frame.power_bits, frame.bpsk_bits, pair)
+    power_bits, bpsk_bits = bits[:52], bits[52:]
+    points = constellation_point(power_bits, bpsk_bits, pair)
     print(f"  first data bins: {np.round(points[:6], 4)}")
 
     samples = ofdm_modulate(points, layout, CP)
-    chan = draw_channel(default_profile(), rng, fft_size=64)
-    received = add_awgn(apply_channel(samples, chan), n0, rng)
+    taps = draw_taps(default_profile(), 1, rng)[0]
+    received = add_awgn(apply_channel(samples, taps), n0, rng)
 
-    gains = chan.freq_response[layout.data_bins]
+    gains = channel_frequency_response(taps, layout.fft_size)[layout.data_bins]
     symbols, _ = equalize_symbols(ofdm_demodulate(received, layout, CP), gains)
-    out = SpmFrameBits(
-        power_bits=detect_power_bit(symbols, detection_threshold(pair)),
-        bpsk_bits=detect_bpsk_bit(symbols),
-    )
-    counts = count_errors(frame, out)
-    print(f"  power-bit errors: {counts.power_errors} / 52")
-    print(f"  bpsk-bit errors:  {counts.bpsk_errors} / 52")
+    threshold = detection_threshold(pair)
+    power_errors = np.count_nonzero(detect_power_bit(symbols, threshold) != power_bits)
+    bpsk_errors = np.count_nonzero(detect_bpsk_bit(symbols) != bpsk_bits)
+    print(f"  power-bit errors: {power_errors} / 52")
+    print(f"  bpsk-bit errors:  {bpsk_errors} / 52")
 
 
 def main():

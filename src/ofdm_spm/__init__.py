@@ -2,26 +2,22 @@
 
 from .analysis import (
     BerBreakdown,
-    ErrorCounts,
     PowerErrorTerms,
     ber_bpsk_avg,
     ber_breakdown,
     ber_level,
     ber_power,
     ber_total,
-    count_errors,
     power_error_terms,
     rayleigh_bpsk_ber,
     throughput,
 )
 from .channel import (
     ChannelProfile,
-    ChannelRealization,
     add_awgn,
     apply_channel,
     channel_frequency_response,
     default_profile,
-    draw_channel,
     draw_flat_rayleigh,
     draw_taps,
     make_profile,
@@ -30,15 +26,12 @@ from .core import (
     DEFAULT_HIGH_FACTOR,
     Policy,
     PowerPair,
-    SpmFrameBits,
     SubcarrierLayout,
     constellation_point,
     default_layout,
     detection_threshold,
     map_bpsk,
-    merge_bitstream,
     power_pair_for,
-    split_bitstream,
 )
 from .harness import (
     CSV_COLUMNS,

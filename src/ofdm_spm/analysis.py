@@ -1,4 +1,4 @@
-"""Closed-form error rates over flat Rayleigh fading, plus sim bookkeeping.
+"""Closed-form error rates over flat Rayleigh fading.
 
 All rates are exact averages over a unit-mean exponential channel power.
 The building block is the classical coherent-BPSK result
@@ -22,7 +22,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .core import PowerPair, SpmFrameBits
+from .core import PowerPair
 
 
 def _fade_tail(x):
@@ -37,16 +37,6 @@ def _fade_tail(x):
     xf = x[finite]
     s = np.sqrt(xf / (1.0 + xf))
     out[finite] = 0.5 / ((1.0 + xf) * (1.0 + s))
-    return out if out.ndim else float(out)
-
-
-def _naive_tail(x):
-    """Direct transcription of the same tail, kept as a cross-check coding."""
-    x = np.asarray(x, dtype=np.float64)
-    out = np.zeros(x.shape)
-    finite = np.isfinite(x)
-    xf = x[finite]
-    out[finite] = 0.5 * (1.0 - np.sqrt(xf / (1.0 + xf)))
     return out if out.ndim else float(out)
 
 
@@ -76,31 +66,24 @@ def ber_bpsk_avg(snr, pair: PowerPair) -> float:
 
 
 class PowerErrorTerms(NamedTuple):
-    """Both decompositions of the power-stream error rate.
+    """The three tails of the power-stream error rate.
 
-    a, b, c is the compact form (weights 1/2, 1/4, 1/4 baked in);
-    e1..e4 are the four boundary-crossing events, each with weight 1/2,
-    that the compact form collapses to (e3 duplicates e1). The two
-    combinations below are algebraically identical.
+    a is the tail at (H-L)/2, the midpoint crossing both levels can make;
+    b is half the tail at (H+3L)/2, where L crosses the opposite midpoint;
+    c is half the tail at (3H+L)/2, where H passes both boundaries and is
+    decided right again. P_power = a + b - c.
     """
 
     a: float
     b: float
     c: float
-    e1: float
-    e2: float
-    e3: float
-    e4: float
 
     def total_compact(self):
         return self.a + self.b - self.c
 
-    def total_crossings(self):
-        return self.e1 + 0.5 * self.e2 - 0.5 * self.e4
-
 
 def power_error_terms(snr, pair: PowerPair) -> PowerErrorTerms:
-    """Evaluate every term of the power-stream BER at the given SNR."""
+    """Evaluate the three tails of the power-stream BER at the given SNR."""
     snr = np.asarray(snr, dtype=np.float64)
     d_mid = 0.5 * (pair.high - pair.low)       # level to midpoint
     d_far = 0.5 * (pair.high + 3.0 * pair.low)  # low level to opposite midpoint
@@ -108,12 +91,7 @@ def power_error_terms(snr, pair: PowerPair) -> PowerErrorTerms:
     a = _fade_tail(d_mid**2 * snr)
     b = 0.5 * _fade_tail(d_far**2 * snr)
     c = 0.5 * _fade_tail(d_out**2 * snr)
-    # the crossing events, coded from their defining tails on purpose
-    e1 = _naive_tail(d_mid**2 * snr)
-    e2 = _naive_tail(d_far**2 * snr)
-    e3 = _naive_tail(d_mid**2 * snr)
-    e4 = _naive_tail(d_out**2 * snr)
-    return PowerErrorTerms(a=a, b=b, c=c, e1=e1, e2=e2, e3=e3, e4=e4)
+    return PowerErrorTerms(a=a, b=b, c=c)
 
 
 def ber_power(snr, pair: PowerPair) -> float:
@@ -151,44 +129,6 @@ def ber_breakdown(snr, pair: PowerPair) -> BerBreakdown:
         ber_bpsk=bpsk,
         ber_power=power,
         ber_total=0.5 * (power + bpsk),
-    )
-
-
-@dataclass(frozen=True)
-class ErrorCounts:
-    """Per-stream error tallies from a simulation run."""
-
-    power_errors: int
-    bpsk_errors: int
-    power_bits: int
-    bpsk_bits: int
-
-    @property
-    def ber_power(self) -> float:
-        return self.power_errors / self.power_bits
-
-    @property
-    def ber_bpsk(self) -> float:
-        return self.bpsk_errors / self.bpsk_bits
-
-    @property
-    def ber_total(self) -> float:
-        return (self.power_errors + self.bpsk_errors) / (
-            self.power_bits + self.bpsk_bits
-        )
-
-
-def count_errors(sent: SpmFrameBits, received: SpmFrameBits) -> ErrorCounts:
-    """Compare two frames (or concatenated frame streams) bit by bit."""
-    if sent.n != received.n:
-        raise ValueError(f"frame sizes differ: {sent.n} vs {received.n}")
-    if sent.n == 0:
-        raise ValueError("cannot count errors on empty frames")
-    return ErrorCounts(
-        power_errors=int(np.count_nonzero(sent.power_bits != received.power_bits)),
-        bpsk_errors=int(np.count_nonzero(sent.bpsk_bits != received.bpsk_bits)),
-        power_bits=sent.n,
-        bpsk_bits=sent.n,
     )
 
 

@@ -60,14 +60,6 @@ def default_profile() -> ChannelProfile:
     return make_profile((0, 3, 5, 6, 8), (0.0, -8.0, -17.0, -21.0, -25.0))
 
 
-@dataclass(frozen=True, eq=False)
-class ChannelRealization:
-    """One block-fading draw: time-domain taps plus their DFT."""
-
-    taps: np.ndarray = field(repr=False)
-    freq_response: np.ndarray = field(repr=False)
-
-
 def draw_taps(profile: ChannelProfile, count: int, rng) -> np.ndarray:
     """Draw `count` independent tap vectors, shape (count, max_delay + 1).
 
@@ -99,22 +91,14 @@ def channel_frequency_response(taps, fft_size: int) -> np.ndarray:
     return np.fft.fft(taps, fft_size)
 
 
-def draw_channel(profile: ChannelProfile, rng, fft_size: int = 64) -> ChannelRealization:
-    """One block-fading realization with its frequency response."""
-    taps = draw_taps(profile, 1, rng)[0]
-    return ChannelRealization(
-        taps=taps, freq_response=channel_frequency_response(taps, fft_size)
-    )
-
-
-def apply_channel(samples, channel) -> np.ndarray:
+def apply_channel(samples, taps) -> np.ndarray:
     """Linear convolution with the channel taps, truncated to the input length.
 
-    `channel` may be a ChannelRealization or a raw tap array; a batch of tap
-    vectors convolves row-wise with a batch of sample rows. With a cyclic
-    prefix covering the delay spread the truncation loses nothing.
+    A batch of tap vectors convolves row-wise with a batch of sample rows.
+    With a cyclic prefix covering the delay spread the truncation loses
+    nothing.
     """
-    taps = channel.taps if isinstance(channel, ChannelRealization) else np.asarray(channel)
+    taps = np.asarray(taps)
     x = np.asarray(samples)
     length = x.shape[-1]
     if taps.shape[-1] > length:

@@ -54,7 +54,6 @@ def _policy(text: str) -> Policy:
 FIELD_PARSERS = {
     "fft_size": int,
     "data_subcarriers": int,
-    "guard_count": int,
     "cp_len": int,
     "ofdm_symbols": int,
     "policy": _policy,
@@ -92,7 +91,6 @@ def _add_common_options(parser: argparse.ArgumentParser):
     parser.add_argument("--config", help="flat key = value config file")
     parser.add_argument("--fft-size", dest="fft_size", type=int)
     parser.add_argument("--data-subcarriers", dest="data_subcarriers", type=int)
-    parser.add_argument("--guard-count", dest="guard_count", type=int)
     parser.add_argument("--cp-len", dest="cp_len", type=int)
     parser.add_argument("--symbols", dest="ofdm_symbols", type=int,
                         help="OFDM symbols per SNR point")
@@ -194,15 +192,13 @@ def _cmd_records(args) -> int:
 
 
 def _cmd_optimize(args) -> int:
-    policy = args.policy if args.policy is not None else Policy.POWER_SAVING
-    if args.objective == "monte_carlo":
-        cfg = _build_config(args, needs_seed=True)
+    monte_carlo = args.objective == "monte_carlo"
+    cfg = _build_config(args, needs_seed=monte_carlo)
+    if monte_carlo:
         objective = monte_carlo_objective(cfg)
     else:
-        objective = None  # scan_levels uses the closed-form mean
-        if args.snr_db_grid is not None:
-            objective = mean_ber_objective(args.snr_db_grid)
-    result = scan_levels(policy, objective, h_start=args.h_start, h_step=args.h_step)
+        objective = mean_ber_objective(cfg.snr_db_grid)
+    result = scan_levels(cfg.policy, objective, h_start=args.h_start, h_step=args.h_step)
     if args.out:
         with open(args.out, "w", newline="") as handle:
             writer = csv.writer(handle, lineterminator="\n")
@@ -211,7 +207,7 @@ def _cmd_optimize(args) -> int:
                                result.trace_objective):
                 writer.writerow((repr(float(h)), repr(float(l)), repr(float(v))))
     print(
-        f"policy={policy.value} low={result.pair.low!r} "
+        f"policy={cfg.policy.value} low={result.pair.low!r} "
         f"high={result.pair.high!r} objective={result.objective!r}"
     )
     return 0

@@ -99,56 +99,6 @@ def power_pair_for(policy: Policy, high_factor: float, eb: float = 1.0) -> Power
     return PowerPair(low=low, high=float(high_factor), budget=budget)
 
 
-@dataclass(eq=False)
-class SpmFrameBits:
-    """The two parallel bit substreams carried by one OFDM-SPM frame."""
-
-    power_bits: np.ndarray
-    bpsk_bits: np.ndarray
-
-    def __post_init__(self):
-        self.power_bits = _as_bits(self.power_bits, "power_bits")
-        self.bpsk_bits = _as_bits(self.bpsk_bits, "bpsk_bits")
-        if self.power_bits.shape != self.bpsk_bits.shape:
-            raise ValueError(
-                f"substream lengths differ: {self.power_bits.size} power "
-                f"bits vs {self.bpsk_bits.size} BPSK bits"
-            )
-
-    @property
-    def n(self) -> int:
-        """Number of data subcarriers the frame occupies."""
-        return int(self.power_bits.size)
-
-
-def _as_bits(values, name: str) -> np.ndarray:
-    arr = np.asarray(values)
-    if arr.ndim != 1:
-        raise ValueError(f"{name} must be one-dimensional, got shape {arr.shape}")
-    if arr.size and not np.isin(arr, (0, 1)).all():
-        raise ValueError(f"{name} must contain only 0s and 1s")
-    return arr.astype(np.int8)
-
-
-def split_bitstream(bits, n: int) -> SpmFrameBits:
-    """Split a 2n-bit payload into the power and BPSK substreams.
-
-    The first n bits modulate subcarrier powers, the last n bits are the
-    BPSK payload, both in subcarrier order.
-    """
-    arr = _as_bits(bits, "bits")
-    if n < 0:
-        raise ValueError(f"n must be nonnegative, got {n}")
-    if arr.size != 2 * n:
-        raise ValueError(f"expected {2 * n} bits for n={n}, got {arr.size}")
-    return SpmFrameBits(power_bits=arr[:n], bpsk_bits=arr[n:])
-
-
-def merge_bitstream(frame: SpmFrameBits) -> np.ndarray:
-    """Exact inverse of split_bitstream."""
-    return np.concatenate([frame.power_bits, frame.bpsk_bits])
-
-
 def map_bpsk(bits):
     """Antipodal map 0 -> -1, 1 -> +1 (applied to the sign of the symbol)."""
     return 2 * np.asarray(bits).astype(np.int8) - 1

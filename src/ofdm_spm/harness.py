@@ -71,9 +71,8 @@ class SimConfig:
     """Everything a sweep needs; validated on construction.
 
     high_factor = None selects the reference operating point of the
-    policy. guard_count is redundant with fft_size - data_subcarriers and
-    exists so config files can state it explicitly; leave it None to have
-    it derived. snr_convention picks how the x axis maps to noise density:
+    policy. The fft_size - data_subcarriers bins left over are guards.
+    snr_convention picks how the x axis maps to noise density:
     "subcarrier" treats it as per-subcarrier symbol SNR with Eb = 1 (the
     convention the closed forms use), "per_bit" charges the full budget to
     the two bits each subcarrier carries.
@@ -81,7 +80,6 @@ class SimConfig:
 
     fft_size: int = 64
     data_subcarriers: int = 52
-    guard_count: int | None = None
     cp_len: int = 16
     ofdm_symbols: int = 50_000
     policy: Policy = Policy.POWER_SAVING
@@ -101,16 +99,11 @@ class SimConfig:
             value = getattr(self, name)
             if not isinstance(value, (int, np.integer)) or isinstance(value, bool):
                 raise ValueError(f"{name} must be an integer, got {value!r}")
-        n, g = self.fft_size, self.guard_count
+        n = self.fft_size
         if n < 2 or n & (n - 1):
             raise ValueError(f"fft_size must be a power of two >= 2, got {n}")
         if not 1 <= self.data_subcarriers <= n:
             raise ValueError(f"data_subcarriers out of range: {self.data_subcarriers}")
-        if g is not None and g != n - self.data_subcarriers:
-            raise ValueError(
-                f"guard_count {g} inconsistent with fft_size {n} and "
-                f"data_subcarriers {self.data_subcarriers}"
-            )
         if not 0 <= self.cp_len < n:
             raise ValueError(f"cp_len must be in [0, {n}), got {self.cp_len}")
         if self.ofdm_symbols < 1:
@@ -388,8 +381,7 @@ def monte_carlo_objective(cfg: SimConfig):
     draws = _sweep(cfg, _noise_draw)
 
     def objective(pair: PowerPair) -> float:
-        # the pair run_sweep would build from a config with this H
-        mapper, detectors = _spm_link(power_pair_for(cfg.policy, pair.high))
+        mapper, detectors = _spm_link(pair)
         totals = []
         for batches in draws:
             received = ((bits, mapper(bits) + noise) for bits, noise in batches)

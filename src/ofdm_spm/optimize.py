@@ -48,46 +48,44 @@ def scan_levels(
 ) -> ScanResult:
     """Walk H upward in fixed steps and return the objective's argmin.
 
-    Candidates are H = h_start + k*h_step for k = 0, 1, ... while
-    H^2 < budget - 1e-6. Steps whose implied L would not satisfy
-    0 < L < H are skipped (the low end of the walk can be infeasible
-    under the larger budget); the scan fails only when no candidate at
-    all is feasible. Ties resolve to the smaller H. The objective is
-    deterministic by default (closed form), so the result is too.
+    Candidates are power_pair_for(policy, H, eb) for H = h_start +
+    k*h_step, k = 0, 1, ... while H^2 < budget - 1e-6. Steps whose implied
+    L would not satisfy 0 < L < H are skipped (the low end of the walk can
+    be infeasible under the larger budget); the scan fails only when no
+    candidate at all is feasible. Ties resolve to the smaller H. The
+    objective is deterministic by default (closed form), so the result is
+    too.
     """
     if h_start <= 0 or h_step <= 0:
         raise ValueError("h_start and h_step must be positive")
     if objective is None:
         objective = mean_ber_objective()
     budget = policy.budget * eb
-    highs, lows, values = [], [], []
+    pairs, values = [], []
     k = 0
     while True:
         h = h_start + h_step * k
         k += 1
         if h * h >= budget - BUDGET_MARGIN:
             break
-        low_sq = budget - h * h
-        if low_sq >= h * h:  # L >= H, not a usable pair yet
+        try:
+            pair = power_pair_for(policy, h, eb)
+        except ValueError:  # L >= H, not a usable pair yet
             continue
-        pair = PowerPair(low=float(np.sqrt(low_sq)), high=float(h), budget=budget)
-        highs.append(pair.high)
-        lows.append(pair.low)
+        pairs.append(pair)
         values.append(float(objective(pair)))
     if not values:
         raise ValueError(
             f"no feasible (L, H) candidate with h_start={h_start!r}, "
             f"h_step={h_step!r} under budget {budget!r}"
         )
-    values_arr = np.asarray(values)
-    best = int(np.argmin(values_arr))  # first minimum = smallest H on ties
-    winner = PowerPair(low=lows[best], high=highs[best], budget=budget)
+    best = int(np.argmin(values))  # first minimum = smallest H on ties
     return ScanResult(
-        pair=winner,
+        pair=pairs[best],
         objective=values[best],
-        trace_high=np.asarray(highs),
-        trace_low=np.asarray(lows),
-        trace_objective=values_arr,
+        trace_high=np.array([p.high for p in pairs]),
+        trace_low=np.array([p.low for p in pairs]),
+        trace_objective=np.asarray(values),
     )
 
 

@@ -151,9 +151,10 @@ def test_criterion_02_closed_form_self_consistency():
         h = rng.uniform(lo_h, hi_h)
         pair = PowerPair(low=math.sqrt(budget - h * h), high=h, budget=budget)
         snr = 10.0 ** rng.uniform(-1.0, 4.0)
-        terms = power_error_terms(snr, pair)
-        worst = max(worst, abs(terms.total_compact() - terms.total_crossings()))
-        e_identity &= terms.e1 == terms.e3
+        e1, _, e3, _ = conftest.crossing_terms(snr, pair)
+        compact = power_error_terms(snr, pair).total_compact()
+        worst = max(worst, abs(compact - conftest.total_crossings(snr, pair)))
+        e_identity &= e1 == e3
     ok = worst <= 1e-12 and e_identity
     _criterion(2, ok, f"max |compact - crossings| = {worst:.2e} over 1000 triples, E1==E3")
 

@@ -14,18 +14,17 @@ import pytest
 
 from ofdm_spm import (
     Policy,
-    SpmFrameBits,
     ber_bpsk_avg,
     ber_breakdown,
     ber_level,
     ber_power,
     ber_total,
-    count_errors,
     power_error_terms,
     power_pair_for,
     rayleigh_bpsk_ber,
     throughput,
 )
+from conftest import crossing_terms, total_crossings
 
 SAVING = power_pair_for(Policy.POWER_SAVING, 1.35)
 NONOPT = power_pair_for(Policy.REALLOC_NON_OPTIMIZED, 1.732)
@@ -118,12 +117,12 @@ class TestDecompositionIdentity:
     def test_compact_equals_crossings(self, pair, snr):
         terms = power_error_terms(snr, pair)
         assert terms.total_compact() == pytest.approx(
-            terms.total_crossings(), abs=1e-12
+            total_crossings(snr, pair), abs=1e-12
         )
 
     def test_first_and_third_crossing_coincide(self):
-        terms = power_error_terms(7.3, SAVING)
-        assert terms.e1 == terms.e3
+        e1, _, e3, _ = crossing_terms(7.3, SAVING)
+        assert e1 == e3
 
 
 class TestShapes:
@@ -150,8 +149,8 @@ class TestShapes:
         assert rayleigh_bpsk_ber(inf) == 0.0
         assert ber_power(inf, SAVING) == 0.0
         assert ber_bpsk_avg(inf, SAVING) == 0.0
-        terms = power_error_terms(inf, SAVING)
-        assert terms.total_crossings() == 0.0
+        assert power_error_terms(inf, SAVING).total_compact() == 0.0
+        assert total_crossings(inf, SAVING) == 0.0
 
     def test_negative_snr_rejected(self):
         with pytest.raises(ValueError):
@@ -174,33 +173,6 @@ class TestBreakdown:
         assert b.ber_bpsk == pytest.approx(0.5 * (b.ber_bpsk_low + b.ber_bpsk_high))
         assert b.ber_power == ber_power(10.0, SAVING)
         assert b.ber_total == pytest.approx(0.5 * (b.ber_power + b.ber_bpsk))
-
-
-class TestCounting:
-    def test_count_errors(self):
-        sent = SpmFrameBits(
-            power_bits=np.array([0, 1, 1, 0], dtype=np.int8),
-            bpsk_bits=np.array([1, 1, 0, 0], dtype=np.int8),
-        )
-        recv = SpmFrameBits(
-            power_bits=np.array([0, 0, 1, 1], dtype=np.int8),
-            bpsk_bits=np.array([1, 1, 1, 0], dtype=np.int8),
-        )
-        c = count_errors(sent, recv)
-        assert (c.power_errors, c.bpsk_errors) == (2, 1)
-        assert c.ber_power == 0.5
-        assert c.ber_bpsk == 0.25
-        assert c.ber_total == 3 / 8
-
-    def test_size_mismatch(self):
-        a = SpmFrameBits(
-            power_bits=np.zeros(4, dtype=np.int8), bpsk_bits=np.zeros(4, dtype=np.int8)
-        )
-        b = SpmFrameBits(
-            power_bits=np.zeros(5, dtype=np.int8), bpsk_bits=np.zeros(5, dtype=np.int8)
-        )
-        with pytest.raises(ValueError):
-            count_errors(a, b)
 
 
 class TestThroughput:

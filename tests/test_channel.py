@@ -6,12 +6,10 @@ import numpy as np
 import pytest
 
 from ofdm_spm.channel import (
-    ChannelRealization,
     add_awgn,
     apply_channel,
     channel_frequency_response,
     default_profile,
-    draw_channel,
     draw_flat_rayleigh,
     draw_taps,
     make_profile,
@@ -148,14 +146,6 @@ class TestApplyChannel:
         y = apply_channel(x, taps)
         np.testing.assert_allclose(y, np.convolve(x, taps)[:80], atol=1e-12)
 
-    def test_accepts_realization(self):
-        prof = default_profile()
-        chan = draw_channel(prof, np.random.default_rng(32))
-        x = np.ones(16, dtype=complex)
-        np.testing.assert_allclose(
-            apply_channel(x, chan), apply_channel(x, chan.taps)
-        )
-
     def test_batch_rows(self):
         rng = np.random.default_rng(33)
         x = rng.normal(size=(6, 40)) + 1j * rng.normal(size=(6, 40))
@@ -204,13 +194,3 @@ class TestFlatFading:
         b = draw_flat_rayleigh(8, np.random.default_rng(5))
         np.testing.assert_array_equal(a, b)
 
-
-class TestDrawChannel:
-    def test_realization_consistent(self):
-        chan = draw_channel(default_profile(), np.random.default_rng(60), fft_size=64)
-        assert isinstance(chan, ChannelRealization)
-        assert chan.taps.shape == (9,)
-        assert chan.freq_response.shape == (64,)
-        np.testing.assert_allclose(
-            chan.freq_response, channel_frequency_response(chan.taps, 64), atol=1e-12
-        )

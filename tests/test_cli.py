@@ -138,11 +138,13 @@ class TestSweep:
         assert rows_a[1] != rows_b[1]
 
     def test_unknown_config_key_fails(self, tmp_path):
-        cfg_file = tmp_path / "bad.cfg"
-        cfg_file.write_text("fft_sizes = 64\n")
-        proc = run_cli("sweep", "--config", str(cfg_file), "--seed", "0")
-        assert proc.returncode == 2
-        assert "unknown key" in proc.stderr
+        # guard_count is not a key: the guards are fft_size - data_subcarriers
+        for line in ("fft_sizes = 64", "guard_count = 12"):
+            cfg_file = tmp_path / "bad.cfg"
+            cfg_file.write_text(line + "\n")
+            proc = run_cli("sweep", "--config", str(cfg_file), "--seed", "0")
+            assert proc.returncode == 2
+            assert proc.stderr.count("\n") == 1 and "unknown key" in proc.stderr
 
     def test_invalid_value_fails_cleanly(self):
         proc = run_cli("sweep", "--seed", "0", "--cp-len", "7")
@@ -220,6 +222,34 @@ class TestOptimize:
     def test_bad_policy_rejected(self):
         proc = run_cli("optimize", "--policy", "psaving")
         assert proc.returncode == 2
+
+    def test_monte_carlo_takes_policy_from_config(self, tmp_path):
+        cfg_file = tmp_path / "f.cfg"
+        cfg_file.write_text("policy = realloc_opt\n")
+        proc = run_cli(
+            "optimize", "--objective", "monte_carlo", "--config", str(cfg_file),
+            "--seed", "1", "--symbols", "50", "--snr-grid", "10",
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.startswith("policy=realloc_opt ")
+
+    def test_closed_form_takes_policy_from_config(self, tmp_path):
+        cfg_file = tmp_path / "f.cfg"
+        cfg_file.write_text("policy = realloc_opt\n")
+        from_file = run_cli("optimize", "--config", str(cfg_file))
+        assert from_file.returncode == 0, from_file.stderr
+        assert from_file.stdout == run_cli("optimize", "--policy", "realloc_opt").stdout
+        # an explicit flag still wins over the file
+        flag = run_cli("optimize", "--config", str(cfg_file), "--policy", "saving")
+        assert "policy=saving " in flag.stdout and "high=1.35" in flag.stdout
+
+    def test_closed_form_takes_grid_from_config(self, tmp_path):
+        cfg_file = tmp_path / "g.cfg"
+        cfg_file.write_text("snr_db_grid = -10\n")
+        from_file = run_cli("optimize", "--config", str(cfg_file))
+        assert from_file.returncode == 0, from_file.stderr
+        assert "high=1.24" in from_file.stdout
+        assert from_file.stdout == run_cli("optimize", "--snr-grid", "-10").stdout
 
 
 class TestEntryPoint:

@@ -8,14 +8,11 @@ import pytest
 from ofdm_spm import (
     Policy,
     PowerPair,
-    SpmFrameBits,
     constellation_point,
     default_layout,
     detection_threshold,
     map_bpsk,
-    merge_bitstream,
     power_pair_for,
-    split_bitstream,
 )
 from ofdm_spm.core import DEFAULT_HIGH_FACTOR
 
@@ -100,31 +97,6 @@ class TestDetectionThreshold:
 
 
 class TestBitHandling:
-    def test_split_merge_round_trip(self):
-        rng = np.random.default_rng(11)
-        bits = rng.integers(0, 2, size=104)
-        frame = split_bitstream(bits, 52)
-        assert frame.n == 52
-        np.testing.assert_array_equal(frame.power_bits, bits[:52])
-        np.testing.assert_array_equal(frame.bpsk_bits, bits[52:])
-        np.testing.assert_array_equal(merge_bitstream(frame), bits)
-
-    def test_split_length_checked(self):
-        with pytest.raises(ValueError):
-            split_bitstream(np.zeros(103, dtype=np.int8), 52)
-
-    def test_frame_validates_values(self):
-        with pytest.raises(ValueError):
-            SpmFrameBits(
-                power_bits=np.array([0, 2], dtype=np.int8),
-                bpsk_bits=np.array([0, 1], dtype=np.int8),
-            )
-        with pytest.raises(ValueError):
-            SpmFrameBits(
-                power_bits=np.array([0, 1], dtype=np.int8),
-                bpsk_bits=np.array([0], dtype=np.int8),
-            )
-
     def test_map_bpsk(self):
         np.testing.assert_array_equal(
             map_bpsk(np.array([0, 1, 1, 0], dtype=np.int8)),

@@ -51,7 +51,7 @@ class TestConfigValidation:
             dict(fft_size=0),
             dict(data_subcarriers=0),
             dict(data_subcarriers=65),
-            dict(guard_count=11),
+            dict(powers_db=(0.0, math.inf, -17.0, -21.0, -25.0)),
             dict(cp_len=64),
             dict(cp_len=-1),
             dict(ofdm_symbols=0),
@@ -94,10 +94,6 @@ class TestConfigValidation:
             SimConfig(cp_len=7, channel_mode="multipath")
         # Same cp is fine when the channel has no memory.
         SimConfig(cp_len=7, channel_mode="flat")
-
-    def test_explicit_guard_count_accepted(self):
-        cfg = SimConfig(guard_count=12)
-        assert cfg.layout().guard_bins.size == 12
 
     def test_default_high_factor_follows_policy(self):
         assert SimConfig(policy=Policy.REALLOC_OPTIMIZED).pair().high == 1.918
