@@ -13,12 +13,15 @@ import pytest
 ROOT = Path(__file__).resolve().parents[1]
 DEMOS = sorted((ROOT / "demos").glob("*.py"))
 
-# SHA-256 of demos/02_single_frame.py's stdout: a seeded single frame, so
-# any change to the mapping, channel draw order or receiver shows up here
-SINGLE_FRAME_STDOUT = "d8d29c7986cfe07aaebf42f6a576acb253d56fd183faa771114ae712d3460133"
+# SHA-256 of a demo's stdout, for demos whose output is fully seeded: any
+# change to the mapping, channel draw order or receiver shows up here
+PINNED_STDOUT = {
+    "02_single_frame.py": "d8d29c7986cfe07aaebf42f6a576acb253d56fd183faa771114ae712d3460133",
+}
 
 
-def _run_demo(demo, tmp_path):
+@pytest.mark.parametrize("demo", DEMOS, ids=[d.name for d in DEMOS])
+def test_demo_runs(demo, tmp_path):
     cwd, scratch = tmp_path / "cwd", tmp_path / "tmp"
     cwd.mkdir()
     scratch.mkdir()
@@ -37,14 +40,5 @@ def _run_demo(demo, tmp_path):
     )
     assert proc.returncode == 0, proc.stderr
     assert list(cwd.iterdir()) == []
-    return proc.stdout
-
-
-@pytest.mark.parametrize("demo", DEMOS, ids=[d.name for d in DEMOS])
-def test_demo_runs(demo, tmp_path):
-    _run_demo(demo, tmp_path)
-
-
-def test_single_frame_output_pinned(tmp_path):
-    stdout = _run_demo(ROOT / "demos" / "02_single_frame.py", tmp_path)
-    assert hashlib.sha256(stdout.encode()).hexdigest() == SINGLE_FRAME_STDOUT
+    if demo.name in PINNED_STDOUT:
+        assert hashlib.sha256(proc.stdout.encode()).hexdigest() == PINNED_STDOUT[demo.name]
