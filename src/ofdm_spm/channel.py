@@ -49,7 +49,7 @@ def make_profile(delays, powers_db) -> ChannelProfile:
         raise ValueError(f"first delay must be 0, got {d[0]}")
     if np.any(np.diff(d) <= 0):
         raise ValueError("delays must be strictly increasing")
-    lin = 10.0 ** (p_db / 10.0)
+    lin = 10.0 ** ((p_db - p_db.max()) / 10.0)
     return ChannelProfile(
         delays=d.astype(np.intp), powers_db=p_db, powers=lin / lin.sum()
     )
@@ -113,13 +113,23 @@ def apply_channel(samples, taps) -> np.ndarray:
     return out
 
 
-def add_awgn(samples, n0: float, rng) -> np.ndarray:
-    """Add complex white Gaussian noise of variance n0 per sample."""
+def draw_awgn(shape, n0: float, rng) -> np.ndarray:
+    """CN(0, n0) samples of the given shape.
+
+    Each sample takes one (real, imaginary) pair of standard normals, in
+    order, which a complex view of the draw reads without a copy.
+    """
     if n0 < 0:
         raise ValueError(f"noise density must be nonnegative, got {n0!r}")
+    noise = rng.standard_normal(tuple(shape) + (2,)).view(np.complex128)[..., 0]
+    noise *= np.sqrt(n0 / 2.0)
+    return noise
+
+
+def add_awgn(samples, n0: float, rng) -> np.ndarray:
+    """Add complex white Gaussian noise of variance n0 per sample."""
     x = np.asarray(samples)
-    g = rng.standard_normal(x.shape + (2,))
-    return x + np.sqrt(n0 / 2.0) * (g[..., 0] + 1j * g[..., 1])
+    return x + draw_awgn(x.shape, n0, rng)
 
 
 def draw_flat_rayleigh(count: int, rng) -> np.ndarray:

@@ -18,9 +18,8 @@ import numpy as np
 
 from .analysis import ber_breakdown, rayleigh_bpsk_ber, throughput
 from .channel import (
-    add_awgn,
-    apply_channel,
     channel_frequency_response,
+    draw_awgn,
     draw_flat_rayleigh,
     draw_taps,
     make_profile,
@@ -37,7 +36,6 @@ from .core import (
     power_pair_for,
 )
 from .rx import detect_bpsk_bit, detect_power_bit, equalize_symbols, ofdm_demodulate
-from .tx import ofdm_modulate
 
 CHANNEL_MODES = ("multipath", "flat", "identity")
 SNR_CONVENTIONS = ("subcarrier", "per_bit")
@@ -218,6 +216,15 @@ def _draws(cfg: SimConfig, snr_index: int, n0: float, streams: int, mapper):
     Yields (bits, equalized symbols) per batch: bits of shape
     (count, streams, n), which mapper turns into data-bin points, and the
     zero-forced data bins of shape (count, n).
+
+    The cyclic prefix covers the delay spread (SimConfig enforces it), so
+    the channel acts on each data bin as one complex gain H and the
+    demodulated bin is H X + W, with W the transform of the time-domain
+    noise w. The zero-forced bin is therefore formed as X + W / H, without
+    running X through the transforms and the channel; bins erased by a
+    gain below GAIN_FLOOR come out as 0. The time-domain chain
+    (ofdm_modulate, apply_channel, add_awgn) is the public reference the
+    tests compare this with, on the same draws.
     """
     layout = cfg.layout()
     n, cp, block = layout.n, cfg.cp_len, cfg.coherence_block
@@ -227,23 +234,19 @@ def _draws(cfg: SimConfig, snr_index: int, n0: float, streams: int, mapper):
         # draw order is part of the determinism contract: bits, fading, noise
         bits = rng.integers(0, 2, size=(count, streams * n), dtype=np.int8)
         bits = bits.reshape(count, streams, n)
-        points = mapper(bits)
         blocks = -(-count // block)
         gains = 1.0
         if cfg.channel_mode == "flat":
-            # per-subcarrier gains act before the transform, which is the
-            # same received signal as multiplying the bins after it
             per_block = draw_flat_rayleigh(blocks * n, rng).reshape(blocks, n)
             gains = _expand_blocks(per_block, block, count)
-            points = points * gains
-        x = ofdm_modulate(points, layout, cp)
-        if profile is not None:
+        elif profile is not None:
             taps = draw_taps(profile, blocks, rng)
             response = channel_frequency_response(taps, cfg.fft_size)[:, layout.data_bins]
             gains = _expand_blocks(response, block, count)
-            x = apply_channel(x, _expand_blocks(taps, block, count))
-        y = add_awgn(x, n0, rng)
-        symbols, _ = equalize_symbols(ofdm_demodulate(y, layout, cp), gains)
+        w = draw_awgn((count, cfg.fft_size + cp), n0, rng)
+        symbols, erased = equalize_symbols(ofdm_demodulate(w, layout, cp), gains)
+        symbols += mapper(bits)
+        symbols[erased] = 0.0
         yield bits, symbols
 
 
@@ -353,12 +356,12 @@ def _noise_draw(cfg: SimConfig, snr_db: float, snr_index: int):
     """Bits and Re(W / H) of every batch of one SNR point.
 
     The chain runs on all-zero points, with the same seeds and draw order
-    as run_point. With the cyclic prefix covering the delay spread, the
-    equalized symbol of any (L, H) pair is X(L, H) + W / H up to rounding,
-    so these arrays carry everything a candidate's error count depends
-    on. (A subcarrier erased by a gain below GAIN_FLOOR would score X
-    instead of the chain's (0, 0); Rayleigh fading makes that event
-    probability zero.)
+    as run_point. Its points X(L, H) are real, so X(L, H) + Re(W / H) is
+    exactly the in-phase part of the symbol run_point decides on, and
+    these arrays carry everything a candidate's error count depends on.
+    (A subcarrier erased by a gain below GAIN_FLOOR would score X instead
+    of the chain's (0, 0); Rayleigh fading makes that event probability
+    zero.)
     """
     n0 = cfg.noise_density(snr_db, cfg.pair())  # depends on the policy budget only
     draws = _draws(cfg, snr_index, n0, 2, _zero_points)

@@ -1,8 +1,22 @@
-"""Shared pytest plumbing: acceptance lines repeated in the summary, and a
+"""Shared pytest plumbing: acceptance lines repeated in the summary, a
 second coding of the power-stream BER that the closed forms are checked
-against."""
+against, and the time-domain link chain the harness is checked against."""
 
 import math
+
+import numpy as np
+
+from ofdm_spm import (
+    add_awgn,
+    apply_channel,
+    channel_frequency_response,
+    draw_flat_rayleigh,
+    draw_taps,
+    equalize_symbols,
+    ofdm_demodulate,
+    ofdm_modulate,
+)
+from ofdm_spm.harness import _batch_plan, _batch_rng, _expand_blocks
 
 ACCEPTANCE_LINES = []
 
@@ -37,3 +51,37 @@ def crossing_terms(snr: float, pair):
 def total_crossings(snr: float, pair) -> float:
     e1, e2, _, e4 = crossing_terms(snr, pair)
     return e1 + 0.5 * e2 - 0.5 * e4
+
+
+def time_domain_draws(cfg, snr_index: int, n0: float, streams: int, mapper):
+    """harness._draws the long way, on the same seeds and in the same draw order.
+
+    Each batch of points goes through the IFFT and cyclic prefix, the tap
+    convolution (or the flat gains), AWGN, the FFT and zero forcing of
+    signal plus noise. Yields (bits, equalized symbols) like _draws.
+    """
+    layout = cfg.layout()
+    n, cp, block = layout.n, cfg.cp_len, cfg.coherence_block
+    profile = cfg.profile() if cfg.channel_mode == "multipath" else None
+    for batch_index, count in _batch_plan(cfg.ofdm_symbols, cfg.batch_symbols, block):
+        rng = _batch_rng(cfg.master_seed, snr_index, batch_index)
+        bits = rng.integers(0, 2, size=(count, streams * n), dtype=np.int8)
+        bits = bits.reshape(count, streams, n)
+        points = mapper(bits)
+        blocks = -(-count // block)
+        gains = 1.0
+        if cfg.channel_mode == "flat":
+            # per-subcarrier gains act before the transform, which is the
+            # same received signal as multiplying the bins after it
+            per_block = draw_flat_rayleigh(blocks * n, rng).reshape(blocks, n)
+            gains = _expand_blocks(per_block, block, count)
+            points = points * gains
+        x = ofdm_modulate(points, layout, cp)
+        if profile is not None:
+            taps = draw_taps(profile, blocks, rng)
+            response = channel_frequency_response(taps, cfg.fft_size)[:, layout.data_bins]
+            gains = _expand_blocks(response, block, count)
+            x = apply_channel(x, _expand_blocks(taps, block, count))
+        y = add_awgn(x, n0, rng)
+        symbols, _ = equalize_symbols(ofdm_demodulate(y, layout, cp), gains)
+        yield bits, symbols

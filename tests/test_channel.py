@@ -45,6 +45,14 @@ class TestProfile:
         prof = make_profile([0, 2], [-3.0, -3.0])
         np.testing.assert_allclose(prof.powers, [0.5, 0.5])
 
+    @pytest.mark.parametrize("level", [-4000.0, 4000.0])
+    def test_powers_far_from_0_db_stay_finite(self, level):
+        # 10 ** (level / 10) underflows or overflows; the spacing is what counts
+        prof = make_profile([0, 2], [level, level])
+        np.testing.assert_array_equal(prof.powers, [0.5, 0.5])
+        prof = make_profile([0, 2], [level, level - 4000.0])
+        np.testing.assert_array_equal(prof.powers, [1.0, 0.0])
+
     def test_rejects_malformed(self):
         with pytest.raises(ValueError):
             make_profile([0, 1], [0.0])

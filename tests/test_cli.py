@@ -163,6 +163,23 @@ class TestSweep:
         assert proc.stdout == ""
         assert proc.stderr.count("\n") == 1 and "finite" in proc.stderr
 
+    def test_tap_powers_far_from_0_db_scale_out(self, tmp_path):
+        # only the spacing of the powers counts, however far from 0 dB they sit
+        outs = []
+        for powers in ("-4000,-4000,-4000,-4000,-4000", "0,0,0,0,0"):
+            out = tmp_path / f"sweep{len(outs)}.csv"
+            proc = run_cli(
+                "sweep",
+                f"--powers-db={powers}",
+                "--symbols", "100",
+                "--snr-grid", "10",
+                "--seed", "1",
+                "--out", str(out),
+            )
+            assert proc.returncode == 0, proc.stderr
+            outs.append(out.read_bytes())
+        assert outs[0] == outs[1]
+
 
 class TestBaseline:
     def test_baseline_runs(self, tmp_path):

@@ -4,6 +4,9 @@ Any change to the link chain, the RNG call order or the CSV formatting
 that alters a single simulated error count shows up here. A change that
 alters these digests on purpose must say why and show that the
 acceptance criteria still pass.
+
+The same configs also run through the time-domain reference chain
+(conftest.time_domain_draws), which must give the harness's error counts.
 """
 
 from __future__ import annotations
@@ -12,8 +15,18 @@ import hashlib
 import io
 
 import pytest
+from conftest import time_domain_draws
 
-from ofdm_spm import Policy, SimConfig, run_baseline_ofdm_bpsk, run_sweep, write_csv
+from ofdm_spm import (
+    Policy,
+    SimConfig,
+    detect_bpsk_bit,
+    map_bpsk,
+    run_baseline_ofdm_bpsk,
+    run_sweep,
+    write_csv,
+)
+from ofdm_spm import harness
 
 GRID = (0.0, 10.0, 20.0, 30.0)
 
@@ -53,10 +66,13 @@ RUNS = {
 }
 
 
+def _config(overrides) -> SimConfig:
+    return SimConfig(ofdm_symbols=3000, snr_db_grid=GRID, master_seed=7, **overrides)
+
+
 def _digest(overrides, sweep) -> str:
-    cfg = SimConfig(ofdm_symbols=3000, snr_db_grid=GRID, master_seed=7, **overrides)
     buf = io.StringIO()
-    write_csv(sweep(cfg), buf)
+    write_csv(sweep(_config(overrides)), buf)
     return hashlib.sha256(buf.getvalue().encode()).hexdigest()
 
 
@@ -64,3 +80,22 @@ def _digest(overrides, sweep) -> str:
 def test_csv_digest(name):
     overrides, sweep, expected = RUNS[name]
     assert _digest(overrides, sweep) == expected
+
+
+@pytest.mark.parametrize("name", list(RUNS))
+def test_error_counts_match_the_time_domain_chain(name):
+    overrides, sweep, _ = RUNS[name]
+    cfg = _config(overrides)
+    if sweep is run_sweep:
+        pair = cfg.pair()
+        mapper, detectors = harness._spm_link(pair)
+    else:
+        pair, mapper, detectors = None, lambda bits: map_bpsk(bits[:, 0]), (detect_bpsk_bit,)
+    for snr_index, snr_db in enumerate(cfg.snr_db_grid):
+        n0 = cfg.noise_density(snr_db, pair)
+        streams = len(detectors)
+        fast = harness._draws(cfg, snr_index, n0, streams, mapper)
+        slow = time_domain_draws(cfg, snr_index, n0, streams, mapper)
+        rates = harness._error_rates(cfg, fast, detectors)
+        assert rates == harness._error_rates(cfg, slow, detectors)
+        assert 0 < sum(rates)

@@ -353,14 +353,15 @@ class TestMonteCarloObjective:
         assert fast.trace_objective.min() > 0
 
     def test_chain_runs_once_per_snr_point_and_batch(self, monkeypatch):
+        # every chain run transforms one batch of noise draws
         rows = []
-        modulate = harness.ofdm_modulate
+        demodulate = harness.ofdm_demodulate
 
-        def counting(points, layout, cp_len):
-            rows.append(points.shape[0])
-            return modulate(points, layout, cp_len)
+        def counting(samples, layout, cp_len):
+            rows.append(samples.shape[0])
+            return demodulate(samples, layout, cp_len)
 
-        monkeypatch.setattr(harness, "ofdm_modulate", counting)
+        monkeypatch.setattr(harness, "ofdm_demodulate", counting)
         cfg = SimConfig(ofdm_symbols=600, batch_symbols=256, snr_db_grid=(0.0, 10.0))
         res = scan_levels(Policy.POWER_SAVING, objective=monte_carlo_objective(cfg))
         assert res.trace_high.size == 37

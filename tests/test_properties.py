@@ -1,4 +1,6 @@
-"""Property tests: config files round-trip, batch plans tile the symbols."""
+"""Property tests: config files round-trip, batch plans tile the symbols,
+the noiseless link loops back, and the harness's frequency-domain chain
+agrees with the time-domain one."""
 
 from __future__ import annotations
 
@@ -6,49 +8,84 @@ import argparse
 import os
 import tempfile
 
+import numpy as np
 import pytest
 
 pytest.importorskip("hypothesis")
+from conftest import time_domain_draws  # noqa: E402
 from hypothesis import given, settings, strategies as st  # noqa: E402
 
-from ofdm_spm import Policy, SimConfig  # noqa: E402
+from ofdm_spm import (  # noqa: E402
+    Policy,
+    SimConfig,
+    apply_channel,
+    channel_frequency_response,
+    constellation_point,
+    detect_bpsk_bit,
+    detect_power_bit,
+    detection_threshold,
+    draw_taps,
+    equalize_symbols,
+    ofdm_demodulate,
+    ofdm_modulate,
+)
+from ofdm_spm import harness  # noqa: E402
 from ofdm_spm.cli import _build_config  # noqa: E402
-from ofdm_spm.harness import _batch_plan  # noqa: E402
+from ofdm_spm.harness import CHANNEL_MODES, _batch_plan  # noqa: E402
 
 FEW = settings(max_examples=40, deadline=None)
 
 
 @st.composite
-def sim_configs(draw):
+def link_fields(draw, channels=CHANNEL_MODES):
+    """SimConfig fields of a valid link: layout, channel, profile, pair."""
     fft_size = 2 ** draw(st.integers(1, 10))
     policy = draw(st.sampled_from(list(Policy)))
     # a valid H satisfies budget/2 < H^2 < budget; keep clear of both ends
     budget = policy.budget
     high = draw(st.none() | st.floats(1.001 * (budget / 2) ** 0.5, 0.999 * budget**0.5))
-    channel = draw(st.sampled_from(["multipath", "flat", "identity"]))
+    channel = draw(st.sampled_from(channels))
     # tap delays strictly increasing from 0, the last one below fft_size
     taps = draw(st.integers(1, min(fft_size, 6)))
     widest = max(1, min(3, (fft_size - 1) // max(taps - 1, 1)))
     gaps = draw(st.lists(st.integers(1, widest), min_size=taps - 1, max_size=taps - 1))
     delays = tuple(sum(gaps[:i]) for i in range(taps))
     cp_floor = delays[-1] if channel == "multipath" else 0
-    return SimConfig(
+    return dict(
         fft_size=fft_size,
         data_subcarriers=draw(st.integers(1, fft_size)),
         cp_len=draw(st.integers(cp_floor, fft_size - 1)),
-        ofdm_symbols=draw(st.integers(1, 10**6)),
         policy=policy,
         high_factor=high,
-        snr_db_grid=tuple(draw(st.lists(st.floats(allow_nan=False), min_size=1, max_size=5))),
         channel_mode=channel,
         delays=delays,
         powers_db=tuple(draw(st.lists(st.floats(-60.0, 20.0), min_size=taps,
                                       max_size=taps))),
-        coherence_block=draw(st.integers(1, 64)),
         master_seed=draw(st.integers(0, 2**63)),
+    )
+
+
+@st.composite
+def sim_configs(draw):
+    return SimConfig(
+        ofdm_symbols=draw(st.integers(1, 10**6)),
+        snr_db_grid=tuple(draw(st.lists(st.floats(allow_nan=False), min_size=1, max_size=5))),
+        coherence_block=draw(st.integers(1, 64)),
         snr_convention=draw(st.sampled_from(["subcarrier", "per_bit"])),
         batch_symbols=draw(st.integers(1, 10**5)),
         workers=draw(st.integers(1, 8)),
+        **draw(link_fields()),
+    )
+
+
+@st.composite
+def short_links(draw, channels=CHANNEL_MODES):
+    """A valid link config over a few symbols, small enough to simulate."""
+    return SimConfig(
+        ofdm_symbols=draw(st.integers(1, 16)),
+        coherence_block=draw(st.integers(1, 4)),
+        batch_symbols=draw(st.integers(1, 8)),
+        **draw(link_fields(channels)),
     )
 
 
@@ -90,3 +127,33 @@ def test_batch_plan_tiles_the_symbols(total, batch, block):
     assert sum(counts) == total
     assert all(count > 0 for count in counts)
     assert all(count % block == 0 for count in counts[:-1])
+
+
+@FEW
+@given(short_links(channels=("multipath",)))
+def test_noiseless_loopback_has_no_errors(cfg):
+    rng = np.random.default_rng(cfg.master_seed)
+    layout, pair, cp = cfg.layout(), cfg.pair(), cfg.cp_len
+    bits = rng.integers(0, 2, size=(2, cfg.ofdm_symbols, layout.n), dtype=np.int8)
+    taps = draw_taps(cfg.profile(), cfg.ofdm_symbols, rng)
+    samples = ofdm_modulate(constellation_point(bits[0], bits[1], pair), layout, cp)
+    received = ofdm_demodulate(apply_channel(samples, taps), layout, cp)
+    gains = channel_frequency_response(taps, cfg.fft_size)[:, layout.data_bins]
+    symbols, erased = equalize_symbols(received, gains)
+    assert not erased.any()
+    np.testing.assert_array_equal(detect_power_bit(symbols, detection_threshold(pair)), bits[0])
+    np.testing.assert_array_equal(detect_bpsk_bit(symbols), bits[1])
+
+
+@FEW
+@given(short_links(), st.floats(-10.0, 40.0))
+def test_frequency_domain_chain_matches_time_domain(cfg, snr_db):
+    pair = cfg.pair()
+    mapper, _ = harness._spm_link(pair)
+    n0 = cfg.noise_density(snr_db, pair)
+    fast = list(harness._draws(cfg, 0, n0, 2, mapper))
+    slow = list(time_domain_draws(cfg, 0, n0, 2, mapper))
+    assert len(fast) == len(slow)
+    for (fast_bits, fast_symbols), (slow_bits, slow_symbols) in zip(fast, slow):
+        np.testing.assert_array_equal(fast_bits, slow_bits)
+        np.testing.assert_allclose(fast_symbols, slow_symbols, rtol=1e-9, atol=1e-9)
