@@ -73,17 +73,15 @@ class PowerPair:
         return 0.5 * (self.low + self.high)
 
 
-def power_pair_for(policy: Policy, high_factor: float, eb: float = 1.0) -> PowerPair:
+def power_pair_for(policy: Policy, high_factor: float) -> PowerPair:
     """Build the (L, H) pair for a policy from its high-level factor.
 
-    L is derived from the budget, L = sqrt(budget*eb - H^2), so the pair
+    L is derived from the budget, L = sqrt(budget - H^2), so the pair
     always satisfies the policy constraint exactly. Raises ValueError when
     H exhausts the budget (no valid L) or when the implied L would not sit
     strictly below H (degenerate pair, threshold detection impossible).
     """
-    if eb <= 0.0:
-        raise ValueError(f"eb must be positive, got {eb!r}")
-    budget = policy.budget * eb
+    budget = policy.budget
     low_sq = budget - high_factor**2
     if low_sq <= 0.0:
         raise ValueError(

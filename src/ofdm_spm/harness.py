@@ -64,6 +64,19 @@ CSV_COLUMNS = (
 )
 
 
+def _linear_snr(snr_db: float) -> float:
+    """10^(snr_db / 10); +inf is the noiseless point, NaN and overflow fail."""
+    snr_db = float(snr_db)
+    if math.isnan(snr_db):
+        raise ValueError("snr_db must not be NaN")
+    try:
+        return 10.0 ** (snr_db / 10.0)
+    except OverflowError:
+        raise ValueError(
+            f"snr_db = {snr_db!r} overflows the linear SNR (inf is the noiseless point)"
+        ) from None
+
+
 @dataclass(frozen=True)
 class SimConfig:
     """Everything a sweep needs; validated on construction.
@@ -108,8 +121,8 @@ class SimConfig:
             raise ValueError("ofdm_symbols must be positive")
         if len(self.snr_db_grid) == 0:
             raise ValueError("snr_db_grid must not be empty")
-        if np.isnan(np.asarray(self.snr_db_grid, dtype=np.float64)).any():
-            raise ValueError(f"snr_db_grid must not contain NaN, got {self.snr_db_grid}")
+        for snr_db in self.snr_db_grid:
+            _linear_snr(snr_db)
         if self.channel_mode not in CHANNEL_MODES:
             raise ValueError(
                 f"channel_mode must be one of {CHANNEL_MODES}, got {self.channel_mode!r}"
@@ -150,9 +163,7 @@ class SimConfig:
 
     def noise_density(self, snr_db: float, pair: PowerPair | None) -> float:
         """Complex noise variance per sample implied by the SNR axis value."""
-        if math.isnan(snr_db):
-            raise ValueError("snr_db = nan is not simulatable")
-        snr = 10.0 ** (float(snr_db) / 10.0)
+        snr = _linear_snr(snr_db)
         if snr == 0:
             raise ValueError("snr_db = -inf is not simulatable")
         eb = 1.0
@@ -210,21 +221,21 @@ def _expand_blocks(per_block, block: int, count: int):
     return np.repeat(per_block, block, axis=0)[:count]
 
 
-def _draws(cfg: SimConfig, snr_index: int, n0: float, streams: int, mapper):
-    """Run the link chain over every batch of one SNR point.
+def _draws(cfg: SimConfig, snr_index: int, n0: float, streams: int):
+    """Draw the random part of one SNR point, batch by batch.
 
-    Yields (bits, equalized symbols) per batch: bits of shape
-    (count, streams, n), which mapper turns into data-bin points, and the
-    zero-forced data bins of shape (count, n).
+    Yields (bits, noise, erased) per batch: bits of shape (count, streams,
+    n), the zero-forced noise W / H of the data bins, shape (count, n),
+    and the mask of bins erased by a gain below GAIN_FLOOR.
 
     The cyclic prefix covers the delay spread (SimConfig enforces it), so
     the channel acts on each data bin as one complex gain H and the
     demodulated bin is H X + W, with W the transform of the time-domain
-    noise w. The zero-forced bin is therefore formed as X + W / H, without
-    running X through the transforms and the channel; bins erased by a
-    gain below GAIN_FLOOR come out as 0. The time-domain chain
-    (ofdm_modulate, apply_channel, add_awgn) is the public reference the
-    tests compare this with, on the same draws.
+    noise w. The zero-forced bin is therefore X + W / H, and _error_counts
+    adds the points X without running them through the transforms and the
+    channel. The time-domain chain (ofdm_modulate, apply_channel,
+    add_awgn) is the public reference the tests compare this with, on the
+    same draws.
     """
     layout = cfg.layout()
     n, cp, block = layout.n, cfg.cp_len, cfg.coherence_block
@@ -244,32 +255,24 @@ def _draws(cfg: SimConfig, snr_index: int, n0: float, streams: int, mapper):
             response = channel_frequency_response(taps, cfg.fft_size)[:, layout.data_bins]
             gains = _expand_blocks(response, block, count)
         w = draw_awgn((count, cfg.fft_size + cp), n0, rng)
-        symbols, erased = equalize_symbols(ofdm_demodulate(w, layout, cp), gains)
-        symbols += mapper(bits)
-        symbols[erased] = 0.0
-        yield bits, symbols
+        noise, erased = equalize_symbols(ofdm_demodulate(w, layout, cp), gains)
+        yield bits, noise, erased
 
 
-def _error_rates(cfg: SimConfig, batches, detectors):
-    """Error rate of each stream over one SNR point's (bits, symbols) batches."""
+def _error_counts(batches, mapper, detectors) -> list[int]:
+    """Decision errors of each stream over (bits, noise, erased) batches.
+
+    A batch's decision statistic is mapper(bits) + noise, with erased bins
+    forced to 0, which the detectors decode as (0, 0).
+    """
     errors = [0] * len(detectors)
-    for bits, symbols in batches:
+    for bits, noise, erased in batches:
+        symbols = mapper(bits) + noise
+        symbols[erased] = 0.0
         for stream, detect in enumerate(detectors):
             errors[stream] += int(np.count_nonzero(detect(symbols) != bits[:, stream]))
-    bits_per_stream = cfg.data_subcarriers * cfg.ofdm_symbols
-    return [e / bits_per_stream for e in errors]
-
-
-def _simulate_point(cfg: SimConfig, snr_db: float, snr_index: int, pair, mapper, detectors):
-    """Run one SNR point with one decision function per stream.
-
-    Returns the error rate of each stream and the effective per-subcarrier
-    SNR.
-    """
-    n0 = cfg.noise_density(snr_db, pair)
-    rates = _error_rates(cfg, _draws(cfg, snr_index, n0, len(detectors), mapper), detectors)
-    snr_eff = 1.0 / n0 if n0 > 0 else math.inf
-    return rates, snr_eff
+        del symbols  # free it before the next batch is drawn
+    return errors
 
 
 def _spm_link(pair: PowerPair):
@@ -288,11 +291,11 @@ def run_point(cfg: SimConfig, snr_db: float, snr_index: int = 0) -> SweepRecord:
     batch seed derivation, so standalone calls default to 0.
     """
     pair = cfg.pair()
-    (ber_power_sim, ber_bpsk_sim), snr_eff = _simulate_point(
-        cfg, snr_db, snr_index, pair, *_spm_link(pair)
-    )
-    breakdown = ber_breakdown(snr_eff, pair)
+    n0 = cfg.noise_density(snr_db, pair)
     bits_per_stream = cfg.data_subcarriers * cfg.ofdm_symbols
+    errors = _error_counts(_draws(cfg, snr_index, n0, 2), *_spm_link(pair))
+    ber_power_sim, ber_bpsk_sim = (e / bits_per_stream for e in errors)
+    breakdown = ber_breakdown(1.0 / n0 if n0 > 0 else math.inf, pair)
     return SweepRecord(
         snr_db=float(snr_db),
         ber_power_sim=ber_power_sim,
@@ -310,10 +313,12 @@ def run_point(cfg: SimConfig, snr_db: float, snr_index: int = 0) -> SweepRecord:
 
 def run_baseline_point(cfg: SimConfig, snr_db: float, snr_index: int = 0) -> SweepRecord:
     """Simulate plain OFDM-BPSK (one bit per subcarrier, unit energy)."""
-    (ber_bpsk_sim,), snr_eff = _simulate_point(
-        cfg, snr_db, snr_index, None, lambda bits: map_bpsk(bits[:, 0]), (detect_bpsk_bit,)
+    n0 = cfg.noise_density(snr_db, None)
+    (errors,) = _error_counts(
+        _draws(cfg, snr_index, n0, 1), lambda bits: map_bpsk(bits[:, 0]), (detect_bpsk_bit,)
     )
-    theory = rayleigh_bpsk_ber(snr_eff)
+    ber_bpsk_sim = errors / (cfg.data_subcarriers * cfg.ofdm_symbols)
+    theory = rayleigh_bpsk_ber(1.0 / n0 if n0 > 0 else math.inf)
     return SweepRecord(
         snr_db=float(snr_db),
         ber_power_sim=math.nan,
@@ -348,24 +353,15 @@ def run_baseline_ofdm_bpsk(cfg: SimConfig) -> list[SweepRecord]:
     return _sweep(cfg, run_baseline_point)
 
 
-def _zero_points(bits):
-    return np.zeros(bits[:, 0].shape)
-
-
 def _noise_draw(cfg: SimConfig, snr_db: float, snr_index: int):
-    """Bits and Re(W / H) of every batch of one SNR point.
+    """The batches of one SNR point as the level scan keeps them.
 
-    The chain runs on all-zero points, with the same seeds and draw order
-    as run_point. Its points X(L, H) are real, so X(L, H) + Re(W / H) is
-    exactly the in-phase part of the symbol run_point decides on, and
-    these arrays carry everything a candidate's error count depends on.
-    (A subcarrier erased by a gain below GAIN_FLOOR would score X instead
-    of the chain's (0, 0); Rayleigh fading makes that event probability
-    zero.)
+    The scan's points X(L, H) are real, so the in-phase noise Re(W / H)
+    is all of W / H that reaches a decision.
     """
     n0 = cfg.noise_density(snr_db, cfg.pair())  # depends on the policy budget only
-    draws = _draws(cfg, snr_index, n0, 2, _zero_points)
-    return [(bits, symbols.real.copy()) for bits, symbols in draws]
+    draws = _draws(cfg, snr_index, n0, 2)
+    return [(bits, noise.real.copy(), erased) for bits, noise, erased in draws]
 
 
 def monte_carlo_objective(cfg: SimConfig):
@@ -373,23 +369,24 @@ def monte_carlo_objective(cfg: SimConfig):
 
     Every candidate pair is evaluated with the same seeds (common random
     numbers), which makes comparisons between candidates much tighter than
-    the per-point noise level and keeps the scan deterministic. The chain
-    runs once per (SNR point, batch), when the factory is called, with the
-    SNR points spread over cfg.workers processes (one pool, if any). Each
-    candidate is then a detection pass over the stored draws that gives
-    the error counts run_sweep gives at that candidate's H. The draws hold
-    2 int8 bits and one float64 per data subcarrier and symbol, 10 bytes,
-    at every SNR point.
+    the per-point noise level and keeps the scan deterministic. The draws
+    are made once per (SNR point, batch), when the factory is called, with
+    the SNR points spread over cfg.workers processes (one pool, if any).
+    Each candidate is then a detection pass over the stored draws, through
+    the _error_counts run_sweep uses, so it scores the rates run_sweep
+    gives at that candidate's H. The draws hold 2 int8 bits, one float64
+    and one erasure flag per data subcarrier and symbol, 11 bytes, at
+    every SNR point.
     """
     draws = _sweep(cfg, _noise_draw)
+    bits_per_stream = cfg.data_subcarriers * cfg.ofdm_symbols
 
     def objective(pair: PowerPair) -> float:
         mapper, detectors = _spm_link(pair)
         totals = []
         for batches in draws:
-            received = ((bits, mapper(bits) + noise) for bits, noise in batches)
-            ber_power_sim, ber_bpsk_sim = _error_rates(cfg, received, detectors)
-            totals.append(0.5 * (ber_power_sim + ber_bpsk_sim))
+            e_power, e_bpsk = _error_counts(batches, mapper, detectors)
+            totals.append(0.5 * (e_power / bits_per_stream + e_bpsk / bits_per_stream))
         return float(np.mean(totals))
 
     return objective
@@ -407,21 +404,7 @@ def write_csv(records, destination) -> None:
     destination is a path or an open text file. Floats are written with
     repr so equal results are byte-identical files.
     """
-    rows = [
-        [
-            _format_cell(rec.snr_db),
-            _format_cell(rec.ber_power_sim),
-            _format_cell(rec.ber_bpsk_sim),
-            _format_cell(rec.ber_total_sim),
-            _format_cell(rec.ber_power_theory),
-            _format_cell(rec.ber_bpsk_theory),
-            _format_cell(rec.ber_total_theory),
-            _format_cell(rec.throughput),
-            rec.bits_counted,
-            rec.seed,
-        ]
-        for rec in records
-    ]
+    rows = [[_format_cell(getattr(rec, name)) for name in CSV_COLUMNS] for rec in records]
     if isinstance(destination, (str, os.PathLike)):
         with open(destination, "w", newline="") as handle:
             _write_rows(handle, rows)
@@ -432,5 +415,4 @@ def write_csv(records, destination) -> None:
 def _write_rows(handle, rows):
     writer = csv.writer(handle, lineterminator="\n")
     writer.writerow(CSV_COLUMNS)
-    for row in rows:
-        writer.writerow(row)
+    writer.writerows(rows)

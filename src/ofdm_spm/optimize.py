@@ -44,11 +44,10 @@ def scan_levels(
     objective: Callable[[PowerPair], float] | None = None,
     h_start: float = 1.05,
     h_step: float = 0.01,
-    eb: float = 1.0,
 ) -> ScanResult:
     """Walk H upward in fixed steps and return the objective's argmin.
 
-    Candidates are power_pair_for(policy, H, eb) for H = h_start +
+    Candidates are power_pair_for(policy, H) for H = h_start +
     k*h_step, k = 0, 1, ... while H^2 < budget - 1e-6. Steps whose implied
     L would not satisfy 0 < L < H are skipped (the low end of the walk can
     be infeasible under the larger budget); the scan fails only when no
@@ -56,11 +55,11 @@ def scan_levels(
     objective is deterministic by default (closed form), so the result is
     too.
     """
-    if h_start <= 0 or h_step <= 0:
-        raise ValueError("h_start and h_step must be positive")
+    if not (h_start > 0 and h_step > 0):  # NaN fails too: it would never end the walk
+        raise ValueError(f"h_start and h_step must be positive, got {h_start!r}, {h_step!r}")
     if objective is None:
         objective = mean_ber_objective()
-    budget = policy.budget * eb
+    budget = policy.budget
     pairs, values = [], []
     k = 0
     while True:
@@ -69,7 +68,7 @@ def scan_levels(
         if h * h >= budget - BUDGET_MARGIN:
             break
         try:
-            pair = power_pair_for(policy, h, eb)
+            pair = power_pair_for(policy, h)
         except ValueError:  # L >= H, not a usable pair yet
             continue
         pairs.append(pair)
@@ -89,6 +88,6 @@ def scan_levels(
     )
 
 
-def reference_pair(policy: Policy, eb: float = 1.0) -> PowerPair:
+def reference_pair(policy: Policy) -> PowerPair:
     """The documented operating point for a policy (see core.DEFAULT_HIGH_FACTOR)."""
-    return power_pair_for(policy, DEFAULT_HIGH_FACTOR[policy], eb)
+    return power_pair_for(policy, DEFAULT_HIGH_FACTOR[policy])

@@ -42,8 +42,8 @@ def equalize_symbols(received, gains):
     y = np.asarray(received, dtype=np.complex128)
     h = np.asarray(gains, dtype=np.complex128)
     erased = np.abs(h) < GAIN_FLOOR
-    symbols = np.divide(y, np.where(erased, 1.0, h))
-    return np.where(erased, 0.0, symbols), erased
+    symbols = np.zeros(np.broadcast_shapes(y.shape, h.shape), dtype=np.complex128)
+    return np.divide(y, h, out=symbols, where=~erased), erased
 
 
 def detect_power_bit(s, t: float):

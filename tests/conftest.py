@@ -58,7 +58,10 @@ def time_domain_draws(cfg, snr_index: int, n0: float, streams: int, mapper):
 
     Each batch of points goes through the IFFT and cyclic prefix, the tap
     convolution (or the flat gains), AWGN, the FFT and zero forcing of
-    signal plus noise. Yields (bits, equalized symbols) like _draws.
+    signal plus noise. Yields (bits, equalized symbols, erased) where
+    _draws yields (bits, equalized noise, erased): the symbols here already
+    carry the points, so harness._error_counts scores them with a mapper
+    that adds 0.
     """
     layout = cfg.layout()
     n, cp, block = layout.n, cfg.cp_len, cfg.coherence_block
@@ -83,5 +86,5 @@ def time_domain_draws(cfg, snr_index: int, n0: float, streams: int, mapper):
             gains = _expand_blocks(response, block, count)
             x = apply_channel(x, _expand_blocks(taps, block, count))
         y = add_awgn(x, n0, rng)
-        symbols, _ = equalize_symbols(ofdm_demodulate(y, layout, cp), gains)
-        yield bits, symbols
+        symbols, erased = equalize_symbols(ofdm_demodulate(y, layout, cp), gains)
+        yield bits, symbols, erased

@@ -157,6 +157,14 @@ class TestSweep:
         assert proc.stdout == ""
         assert proc.stderr.count("\n") == 1 and "NaN" in proc.stderr
 
+    def test_snr_past_the_float_range_fails_cleanly(self):
+        for command in (("theory",), ("sweep", "--seed", "1"), ("simulate", "--seed", "1")):
+            grid = ("--snr", "4000") if command[0] == "simulate" else ("--snr-grid", "4000")
+            proc = run_cli(*command, *grid)
+            assert proc.returncode == 2, command
+            assert proc.stdout == ""
+            assert proc.stderr.count("\n") == 1 and "overflows" in proc.stderr
+
     def test_non_finite_tap_power_fails_cleanly(self):
         proc = run_cli("sweep", "--powers-db", "0,inf,-17,-21,-25", "--seed", "1")
         assert proc.returncode == 2
@@ -235,6 +243,14 @@ class TestOptimize:
         )
         assert proc.returncode == 0, proc.stderr
         assert "objective=" in proc.stdout
+
+    def test_nan_scan_step_fails_cleanly(self):
+        # a NaN H is never past the budget, so the walk would not end
+        for flag in ("--h-step", "--h-start"):
+            proc = run_cli("optimize", flag, "nan")
+            assert proc.returncode == 2, flag
+            assert proc.stdout == ""
+            assert proc.stderr.count("\n") == 1 and "must be positive" in proc.stderr
 
     def test_bad_policy_rejected(self):
         proc = run_cli("optimize", "--policy", "psaving")

@@ -45,14 +45,6 @@ class TestPowerPair:
         pair = power_pair_for(Policy.REALLOC_NON_OPTIMIZED, 1.732)
         assert pair.low == pytest.approx(1.0000879961283409, abs=1e-12)
 
-    def test_eb_scales_budget(self):
-        # The factor is an amplitude, so both it and L scale with sqrt(eb).
-        base = power_pair_for(Policy.POWER_SAVING, 1.35)
-        pair = power_pair_for(Policy.POWER_SAVING, 1.35 * np.sqrt(2.0), eb=2.0)
-        assert pair.budget == pytest.approx(4.0)
-        assert pair.low**2 + pair.high**2 == pytest.approx(4.0, abs=1e-12)
-        assert pair.low == pytest.approx(base.low * np.sqrt(2.0))
-
     def test_high_factor_exhausting_budget_rejected(self):
         # H^2 >= budget leaves nothing for the low level.
         with pytest.raises(ValueError):

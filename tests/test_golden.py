@@ -94,8 +94,8 @@ def test_error_counts_match_the_time_domain_chain(name):
     for snr_index, snr_db in enumerate(cfg.snr_db_grid):
         n0 = cfg.noise_density(snr_db, pair)
         streams = len(detectors)
-        fast = harness._draws(cfg, snr_index, n0, streams, mapper)
+        fast = harness._draws(cfg, snr_index, n0, streams)
         slow = time_domain_draws(cfg, snr_index, n0, streams, mapper)
-        rates = harness._error_rates(cfg, fast, detectors)
-        assert rates == harness._error_rates(cfg, slow, detectors)
-        assert 0 < sum(rates)
+        counts = harness._error_counts(fast, mapper, detectors)
+        assert counts == harness._error_counts(slow, lambda bits: 0.0, detectors)
+        assert 0 < sum(counts)

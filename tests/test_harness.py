@@ -26,7 +26,7 @@ from ofdm_spm import (
     scan_levels,
     write_csv,
 )
-from ofdm_spm import harness
+from ofdm_spm import harness, rx
 
 INF = float("inf")
 
@@ -75,6 +75,7 @@ class TestConfigValidation:
             dict(fft_size=64.0),
             dict(cp_len=True, channel_mode="flat"),
             dict(data_subcarriers=52.0),
+            dict(snr_db_grid=(0.0, 4000.0)),
         ],
     )
     def test_rejects(self, kw):
@@ -124,6 +125,14 @@ class TestNoiseDensity:
         with pytest.raises(ValueError):
             SimConfig().noise_density(math.nan, None)
 
+    def test_linear_overflow_rejected(self):
+        # 10^(4000/10) is past the largest float; +inf stays the noiseless point
+        with pytest.raises(ValueError, match="overflows"):
+            SimConfig().noise_density(4000.0, None)
+        with pytest.raises(ValueError, match="overflows"):
+            SimConfig(snr_db_grid=(3082.5, 3082.6))
+        assert SimConfig(snr_db_grid=(3082.5, INF)).noise_density(INF, None) == 0.0
+
 
 class TestNoiselessLoopback:
     @pytest.mark.parametrize(
@@ -157,6 +166,14 @@ class TestNoiselessLoopback:
         rec = run_point(cfg, INF)
         assert rec.bits_counted == 2 * 6000 * 4
         assert rec.ber_total_sim == 0.0
+
+    def test_erased_bins_decode_as_zero_bits(self, monkeypatch):
+        # a floor above |H| = 1 erases every bin: each decision is (0, 0),
+        # so about half the bits of either stream are wrong, noise or not
+        monkeypatch.setattr(rx, "GAIN_FLOOR", 2.0)
+        rec = run_point(_tiny(), INF)
+        assert 0.45 < rec.ber_power_sim < 0.55 and 0.45 < rec.ber_bpsk_sim < 0.55
+        assert 0.45 < run_baseline_point(_tiny(), INF).ber_bpsk_sim < 0.55
 
 
 class TestDeterminism:
@@ -337,13 +354,21 @@ SCAN_CASES = {
         Policy.POWER_SAVING,
         dict(channel_mode="identity", snr_db_grid=(0.0, 5.0), ofdm_symbols=300),
     ),
+    "flat_erasures": (
+        Policy.POWER_SAVING,
+        dict(channel_mode="flat", snr_db_grid=(0.0, 10.0, 20.0), ofdm_symbols=300),
+    ),
 }
+# rx.GAIN_FLOOR per case, where not the default: 0.3 erases about 9 % of
+# the Rayleigh bins, which both rules must decode as (0, 0)
+SCAN_GAIN_FLOORS = {"flat_erasures": 0.3}
 
 
 class TestMonteCarloObjective:
     @pytest.mark.parametrize("case", SCAN_CASES)
-    def test_scan_equals_per_candidate_sweeps(self, case):
+    def test_scan_equals_per_candidate_sweeps(self, case, monkeypatch):
         policy, fields = SCAN_CASES[case]
+        monkeypatch.setattr(rx, "GAIN_FLOOR", SCAN_GAIN_FLOORS.get(case, rx.GAIN_FLOOR))
         cfg = SimConfig(master_seed=11, **fields)
         fast = scan_levels(policy, objective=monte_carlo_objective(cfg))
         slow = scan_levels(policy, objective=_per_candidate_objective(cfg))

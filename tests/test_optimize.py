@@ -48,6 +48,10 @@ class TestScanGrid:
             scan_levels(Policy.POWER_SAVING, h_step=0.0)
         with pytest.raises(ValueError):
             scan_levels(Policy.POWER_SAVING, h_start=-1.0)
+        # a NaN H never reaches the budget, so these must fail before the walk
+        for bad in (dict(h_step=float("nan")), dict(h_start=float("nan"))):
+            with pytest.raises(ValueError):
+                scan_levels(Policy.POWER_SAVING, **bad)
 
 
 class TestArgmin:

@@ -86,6 +86,15 @@ class TestEqualize:
         assert detect_power_bit(s[1], 0.5) == 0
         assert detect_bpsk_bit(s[1]) == 0
 
+    def test_erasure_broadcasts_over_the_batch(self):
+        # gains broadcast against the symbols either way round
+        h = np.array([[1.0, 1e-13, 2.0], [5e-13j, 1.0, -1.0]], dtype=complex)
+        for y in (np.full((2, 3), 4.0 + 2.0j), np.full(3, 4.0 + 2.0j)):
+            s, erased = equalize_symbols(y, h)
+            assert s.shape == (2, 3) and erased.shape == (2, 3)
+            np.testing.assert_array_equal(erased, [[False, True, False], [True, False, False]])
+            np.testing.assert_array_equal(s, np.where(erased, 0.0, (4.0 + 2.0j) / h))
+
 
 class TestPowerDetector:
     def test_reference_decisions(self):
