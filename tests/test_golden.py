@@ -1,5 +1,8 @@
 """Golden output: SHA-256 of the sweep CSV bytes for a fixed set of runs.
 
+The closed-form theory table, the optimizer's trace and stdout, and the
+Monte Carlo level scan are pinned the same way, through the command line.
+
 Any change to the link chain, the RNG call order or the CSV formatting
 that alters a single simulated error count shows up here. A change that
 alters these digests on purpose must say why and show that the
@@ -27,6 +30,7 @@ from ofdm_spm import (
     write_csv,
 )
 from ofdm_spm import harness
+from ofdm_spm.cli import main
 
 GRID = (0.0, 10.0, 20.0, 30.0)
 
@@ -99,3 +103,49 @@ def test_error_counts_match_the_time_domain_chain(name):
         counts = harness._error_counts(fast, mapper, detectors)
         assert counts == harness._error_counts(slow, lambda bits: 0.0, detectors)
         assert 0 < sum(counts)
+
+
+SCAN_MC = (
+    "optimize --policy realloc_opt --objective monte_carlo --channel multipath "
+    "--snr-grid 0,10,20,30 --symbols 1000 --seed 1"
+).split()
+
+# name -> (argv, digest of stdout, digest of the --out file or None for stdout only)
+CLI_RUNS = {
+    "theory": (
+        ["theory"],
+        "7dc158c95d2b20f3a98df8adac4c1cd093ebb1645c82893230fa3c616a21f817",
+        None,
+    ),
+    "theory_realloc_opt": (
+        ["theory", "--policy", "realloc_opt", "--snr-grid=-inf,0,7.5,inf"],
+        "268149b04e6ee4db3d2cffa10afd3d19053c57d7712fb1dc1eef53dcac8fc45d",
+        None,
+    ),
+    "optimize_closed_form": (
+        ["optimize", "--policy", "realloc_opt"],
+        "a1e74d77236b0d61375597cd7ba4aec5f3934caafd199ed1bc9564a868eff24e",
+        "6ea69e7aeb0313e191cbd3483fb13502678be13aa93dad8395cdedefa55d6d17",
+    ),
+    "scan_mc": (
+        SCAN_MC,
+        "72c59dadf85c9a74329e0858f41d65256efaf435ef0dd33d1fbaf4c54c565bde",
+        "929820e9c9e63b2d65afacdc0cc37f79d7af0fb0e7c4b9a1408ccb7d19955d9b",
+    ),
+}
+
+
+def _sha256(data: bytes) -> str:
+    return hashlib.sha256(data).hexdigest()
+
+
+@pytest.mark.parametrize("name", list(CLI_RUNS))
+def test_cli_output_digest(name, tmp_path, capsys):
+    argv, stdout_digest, file_digest = CLI_RUNS[name]
+    out = tmp_path / "out.csv"
+    if file_digest is not None:
+        argv = [*argv, "--out", str(out)]
+    assert main(argv) == 0
+    assert _sha256(capsys.readouterr().out.encode()) == stdout_digest
+    if file_digest is not None:
+        assert _sha256(out.read_bytes()) == file_digest
