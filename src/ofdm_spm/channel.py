@@ -60,6 +60,15 @@ def default_profile() -> ChannelProfile:
     return make_profile((0, 3, 5, 6, 8), (0.0, -8.0, -17.0, -21.0, -25.0))
 
 
+def _complex_normal(shape, rng) -> np.ndarray:
+    """Complex samples whose real and imaginary parts are standard normals.
+
+    Each sample takes one (real, imaginary) pair of draws, in order, which
+    a complex view of the draw reads without a copy.
+    """
+    return rng.standard_normal(tuple(shape) + (2,)).view(np.complex128)[..., 0]
+
+
 def draw_taps(profile: ChannelProfile, count: int, rng) -> np.ndarray:
     """Draw `count` independent tap vectors, shape (count, max_delay + 1).
 
@@ -68,10 +77,8 @@ def draw_taps(profile: ChannelProfile, count: int, rng) -> np.ndarray:
     if count < 1:
         raise ValueError(f"count must be positive, got {count}")
     taps = np.zeros((count, profile.max_delay + 1), dtype=np.complex128)
-    g = rng.standard_normal((count, profile.delays.size, 2))
-    taps[:, profile.delays] = np.sqrt(profile.powers / 2.0) * (
-        g[..., 0] + 1j * g[..., 1]
-    )
+    g = _complex_normal((count, profile.delays.size), rng)
+    taps[:, profile.delays] = np.sqrt(profile.powers / 2.0) * g
     return taps
 
 
@@ -114,14 +121,10 @@ def apply_channel(samples, taps) -> np.ndarray:
 
 
 def draw_awgn(shape, n0: float, rng) -> np.ndarray:
-    """CN(0, n0) samples of the given shape.
-
-    Each sample takes one (real, imaginary) pair of standard normals, in
-    order, which a complex view of the draw reads without a copy.
-    """
+    """CN(0, n0) samples of the given shape."""
     if n0 < 0:
         raise ValueError(f"noise density must be nonnegative, got {n0!r}")
-    noise = rng.standard_normal(tuple(shape) + (2,)).view(np.complex128)[..., 0]
+    noise = _complex_normal(shape, rng)
     noise *= np.sqrt(n0 / 2.0)
     return noise
 
@@ -136,5 +139,4 @@ def draw_flat_rayleigh(count: int, rng) -> np.ndarray:
     """i.i.d. CN(0, 1) per-subcarrier gains (E|g|^2 = 1), shape (count,)."""
     if count < 0:
         raise ValueError(f"count must be nonnegative, got {count}")
-    g = rng.standard_normal((count, 2))
-    return (g[:, 0] + 1j * g[:, 1]) / np.sqrt(2.0)
+    return _complex_normal((count,), rng) / np.sqrt(2.0)

@@ -8,18 +8,21 @@ config file via --config; explicit command-line flags win over the file.
 from __future__ import annotations
 
 import argparse
-import csv
+import dataclasses
 import sys
 
 from .analysis import ber_breakdown, throughput
 from .core import Policy
 from .harness import (
+    CHANNEL_MODES,
+    SNR_CONVENTIONS,
     SimConfig,
     monte_carlo_objective,
     run_baseline_ofdm_bpsk,
     run_point,
     run_sweep,
     write_csv,
+    write_table,
 )
 from .optimize import mean_ber_objective, scan_levels
 
@@ -50,23 +53,26 @@ def _policy(text: str) -> Policy:
         raise ValueError(f"unknown policy {text!r} (choices: {choices})") from None
 
 
-# how raw config-file strings become SimConfig field values
-FIELD_PARSERS = {
-    "fft_size": int,
-    "data_subcarriers": int,
-    "cp_len": int,
-    "ofdm_symbols": int,
-    "policy": _policy,
-    "high_factor": str,  # float or the word "auto", resolved later
-    "snr_db_grid": _floats,
-    "channel_mode": str,
-    "delays": _ints,
-    "powers_db": _floats,
-    "coherence_block": int,
-    "master_seed": int,
-    "snr_convention": str,
-    "batch_symbols": int,
-    "workers": int,
+# SimConfig field -> (command-line flag, text parser, help); the config
+# file reads the same field names as keys. Flag and key text go through
+# the same parser, so a bad value gives the same one-line error from both.
+OPTIONS = {
+    "fft_size": ("--fft-size", int, None),
+    "data_subcarriers": ("--data-subcarriers", int, None),
+    "cp_len": ("--cp-len", int, None),
+    "ofdm_symbols": ("--symbols", int, "OFDM symbols per SNR point"),
+    "policy": ("--policy", _policy, " | ".join(p.value for p in Policy)),
+    # a float or the word "auto", resolved by _build_config
+    "high_factor": ("--high", str, "high level H, or 'auto' to pick it by scan"),
+    "snr_db_grid": ("--snr-grid", _floats, "comma-separated dB values"),
+    "channel_mode": ("--channel", str, " | ".join(CHANNEL_MODES)),
+    "delays": ("--delays", _ints, "comma-separated tap delays in samples"),
+    "powers_db": ("--powers-db", _floats, "comma-separated tap powers in dB"),
+    "coherence_block": ("--coherence-block", int, "OFDM symbols per channel realization"),
+    "master_seed": ("--seed", int, "master seed for reproducible runs"),
+    "snr_convention": ("--snr-convention", str, " | ".join(SNR_CONVENTIONS)),
+    "batch_symbols": ("--batch-symbols", int, None),
+    "workers": ("--workers", int, None),
 }
 
 
@@ -81,50 +87,25 @@ def _load_config_file(path: str) -> dict:
                 raise ValueError(f"{path}:{lineno}: expected 'key = value'")
             key, _, text = line.partition("=")
             key = key.strip()
-            if key not in FIELD_PARSERS:
+            if key not in OPTIONS:
                 raise ValueError(f"{path}:{lineno}: unknown key {key!r}")
-            values[key] = FIELD_PARSERS[key](text.strip())
+            values[key] = OPTIONS[key][1](text.strip())
     return values
 
 
 def _add_common_options(parser: argparse.ArgumentParser):
     parser.add_argument("--config", help="flat key = value config file")
-    parser.add_argument("--fft-size", dest="fft_size", type=int)
-    parser.add_argument("--data-subcarriers", dest="data_subcarriers", type=int)
-    parser.add_argument("--cp-len", dest="cp_len", type=int)
-    parser.add_argument("--symbols", dest="ofdm_symbols", type=int,
-                        help="OFDM symbols per SNR point")
-    parser.add_argument("--policy", dest="policy", type=_policy,
-                        help="saving | realloc_nonopt | realloc_opt")
-    parser.add_argument("--high", dest="high_factor",
-                        help="high level H, or 'auto' to pick it by scan")
-    parser.add_argument("--snr-grid", dest="snr_db_grid", type=_floats,
-                        help="comma-separated dB values")
-    parser.add_argument("--channel", dest="channel_mode",
-                        choices=("multipath", "flat", "identity"))
-    parser.add_argument("--delays", dest="delays", type=_ints,
-                        help="comma-separated tap delays in samples")
-    parser.add_argument("--powers-db", dest="powers_db", type=_floats,
-                        help="comma-separated tap powers in dB")
-    parser.add_argument("--coherence-block", dest="coherence_block", type=int,
-                        help="OFDM symbols per channel realization")
-    parser.add_argument("--snr-convention", dest="snr_convention",
-                        choices=("subcarrier", "per_bit"))
-    parser.add_argument("--batch-symbols", dest="batch_symbols", type=int)
-    parser.add_argument("--workers", dest="workers", type=int)
-    parser.add_argument("--seed", dest="master_seed", type=int,
-                        help="master seed for reproducible runs")
+    for name, (flag, _, text) in OPTIONS.items():
+        parser.add_argument(flag, dest=name, help=text)
     parser.add_argument("--out", help="output CSV path (default: stdout)")
 
 
 def _build_config(args, needs_seed: bool = False) -> SimConfig:
-    values = {}
-    if getattr(args, "config", None):
-        values.update(_load_config_file(args.config))
-    for name in FIELD_PARSERS:
+    values = _load_config_file(args.config) if getattr(args, "config", None) else {}
+    for name, (_, parse, _) in OPTIONS.items():
         given = getattr(args, name, None)
         if given is not None:
-            values[name] = given
+            values[name] = parse(given)
     if needs_seed and "master_seed" not in values:
         # simulations must never run on an implicit seed
         raise ValueError(
@@ -132,24 +113,14 @@ def _build_config(args, needs_seed: bool = False) -> SimConfig:
             "in the config file)"
         )
     high = values.get("high_factor")
-    if isinstance(high, str):
-        if high == "auto":
-            policy = values.get("policy", SimConfig.policy)
-            grid = values.get("snr_db_grid", SimConfig.snr_db_grid)
-            values["high_factor"] = scan_levels(policy, mean_ber_objective(grid)).pair.high
-        else:
-            values["high_factor"] = float(high)
-    return SimConfig(**values)
-
-
-def _emit(args, write) -> int:
-    """Hand write() the --out file, or stdout when --out is not given."""
-    if not args.out:
-        write(sys.stdout)
-        return 0
-    with open(args.out, "w", newline="") as handle:
-        write(handle)
-    return 0
+    if high is not None:
+        values["high_factor"] = None if high == "auto" else float(high)
+    cfg = SimConfig(**values)
+    if high == "auto":
+        # scan only once SimConfig has validated the policy and the grid
+        best = scan_levels(cfg.policy, mean_ber_objective(cfg.snr_db_grid)).pair
+        cfg = dataclasses.replace(cfg, high_factor=best.high)
+    return cfg
 
 
 def _cmd_theory(args) -> int:
@@ -157,24 +128,12 @@ def _cmd_theory(args) -> int:
     pair = cfg.pair()
     rows = []
     for snr_db in cfg.snr_db_grid:
-        snr = 10.0 ** (snr_db / 10.0)
-        bd = ber_breakdown(snr, pair)
-        rows.append([
-            repr(float(snr_db)),
-            repr(bd.ber_power),
-            repr(bd.ber_bpsk_low),
-            repr(bd.ber_bpsk_high),
-            repr(bd.ber_bpsk),
-            repr(bd.ber_total),
-            repr(throughput(bd.ber_power, bd.ber_bpsk)),
-        ])
-
-    def write(handle):
-        writer = csv.writer(handle, lineterminator="\n")
-        writer.writerow(THEORY_COLUMNS)
-        writer.writerows(rows)
-
-    return _emit(args, write)
+        bd = ber_breakdown(10.0 ** (snr_db / 10.0), pair)
+        rate = throughput(bd.ber_power, bd.ber_bpsk)
+        rows.append((snr_db, bd.ber_power, bd.ber_bpsk_low, bd.ber_bpsk_high,
+                     bd.ber_bpsk, bd.ber_total, rate))
+    write_table(args.out or sys.stdout, THEORY_COLUMNS, rows)
+    return 0
 
 
 # how each simulation command turns its config into sweep records
@@ -188,7 +147,8 @@ _RECORDS = {
 def _cmd_records(args) -> int:
     cfg = _build_config(args, needs_seed=True)
     records = _RECORDS[args.command](cfg, args)
-    return _emit(args, lambda handle: write_csv(records, handle))
+    write_csv(records, args.out or sys.stdout)
+    return 0
 
 
 def _cmd_optimize(args) -> int:
@@ -200,12 +160,8 @@ def _cmd_optimize(args) -> int:
         objective = mean_ber_objective(cfg.snr_db_grid)
     result = scan_levels(cfg.policy, objective, h_start=args.h_start, h_step=args.h_step)
     if args.out:
-        with open(args.out, "w", newline="") as handle:
-            writer = csv.writer(handle, lineterminator="\n")
-            writer.writerow(("high", "low", "objective"))
-            for h, l, v in zip(result.trace_high, result.trace_low,
-                               result.trace_objective):
-                writer.writerow((repr(float(h)), repr(float(l)), repr(float(v))))
+        trace = zip(result.trace_high, result.trace_low, result.trace_objective)
+        write_table(args.out, ("high", "low", "objective"), trace)
     print(
         f"policy={cfg.policy.value} low={result.pair.low!r} "
         f"high={result.pair.high!r} objective={result.objective!r}"

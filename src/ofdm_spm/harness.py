@@ -335,6 +335,8 @@ def run_baseline_point(cfg: SimConfig, snr_db: float, snr_index: int = 0) -> Swe
 
 
 def _sweep(cfg: SimConfig, point_fn) -> list[SweepRecord]:
+    for snr_db in cfg.snr_db_grid:
+        cfg.noise_density(snr_db, None)  # reject -inf before any point runs
     points = list(enumerate(cfg.snr_db_grid))
     if cfg.workers > 1:
         with concurrent.futures.ProcessPoolExecutor(max_workers=cfg.workers) as pool:
@@ -398,21 +400,23 @@ def _format_cell(value) -> str:
     return repr(float(value))
 
 
-def write_csv(records, destination) -> None:
-    """Write sweep records with the fixed column set, newline-stable.
+def write_table(destination, columns, rows) -> None:
+    """Write a header and rows as CSV, newline-stable.
 
-    destination is a path or an open text file. Floats are written with
-    repr so equal results are byte-identical files.
+    destination is a path or an open text file. Integers are written as
+    such and every other cell as repr(float), so equal results are
+    byte-identical files.
     """
-    rows = [[_format_cell(getattr(rec, name)) for name in CSV_COLUMNS] for rec in records]
     if isinstance(destination, (str, os.PathLike)):
         with open(destination, "w", newline="") as handle:
-            _write_rows(handle, rows)
-    else:
-        _write_rows(destination, rows)
+            write_table(handle, columns, rows)
+        return
+    writer = csv.writer(destination, lineterminator="\n")
+    writer.writerow(columns)
+    writer.writerows([_format_cell(value) for value in row] for row in rows)
 
 
-def _write_rows(handle, rows):
-    writer = csv.writer(handle, lineterminator="\n")
-    writer.writerow(CSV_COLUMNS)
-    writer.writerows(rows)
+def write_csv(records, destination) -> None:
+    """Write sweep records with the fixed CSV_COLUMNS through write_table."""
+    rows = [[getattr(rec, name) for name in CSV_COLUMNS] for rec in records]
+    write_table(destination, CSV_COLUMNS, rows)

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import csv
+import dataclasses
 import io
 import shutil
 import subprocess
@@ -21,7 +22,7 @@ from ofdm_spm import (
     scan_levels,
     write_csv,
 )
-from ofdm_spm.cli import THEORY_COLUMNS
+from ofdm_spm.cli import OPTIONS, THEORY_COLUMNS, _build_config, _build_parser
 from ofdm_spm.harness import CSV_COLUMNS
 
 
@@ -150,6 +151,11 @@ class TestSweep:
         proc = run_cli("sweep", "--seed", "0", "--cp-len", "7")
         assert proc.returncode == 2
         assert "error:" in proc.stderr
+        # a bad flag value gets the one-line error a config file gets
+        for flag in ("--channel", "--snr-convention", "--symbols", "--policy"):
+            proc = run_cli("sweep", "--seed", "0", flag, "bogus")
+            assert proc.returncode == 2, flag
+            assert proc.stderr.count("\n") == 1 and "bogus" in proc.stderr
 
     def test_nan_snr_fails_cleanly(self):
         proc = run_cli("sweep", "--snr-grid", "nan", "--seed", "1")
@@ -158,7 +164,14 @@ class TestSweep:
         assert proc.stderr.count("\n") == 1 and "NaN" in proc.stderr
 
     def test_snr_past_the_float_range_fails_cleanly(self):
-        for command in (("theory",), ("sweep", "--seed", "1"), ("simulate", "--seed", "1")):
+        # --high auto scans only a grid SimConfig has accepted
+        commands = (
+            ("theory",),
+            ("theory", "--high", "auto"),
+            ("sweep", "--seed", "1"),
+            ("simulate", "--seed", "1"),
+        )
+        for command in commands:
             grid = ("--snr", "4000") if command[0] == "simulate" else ("--snr-grid", "4000")
             proc = run_cli(*command, *grid)
             assert proc.returncode == 2, command
@@ -283,6 +296,45 @@ class TestOptimize:
         assert from_file.returncode == 0, from_file.stderr
         assert "high=1.24" in from_file.stdout
         assert from_file.stdout == run_cli("optimize", "--snr-grid", "-10").stdout
+
+
+# a valid value other than the default for every SimConfig field
+OPTION_SAMPLES = {
+    "fft_size": "128",
+    "data_subcarriers": "40",
+    "cp_len": "12",
+    "ofdm_symbols": "10",
+    "policy": "realloc_opt",
+    "high_factor": "1.3",
+    "snr_db_grid": "5, 15",
+    "channel_mode": "flat",
+    "delays": "0, 1, 2, 3, 4",
+    "powers_db": "0, -1, -2, -3, -4",
+    "coherence_block": "4",
+    "master_seed": "9",
+    "snr_convention": "per_bit",
+    "batch_symbols": "512",
+    "workers": "2",
+}
+
+
+class TestOptionTable:
+    def test_one_entry_and_one_flag_per_field(self):
+        assert list(OPTIONS) == [field.name for field in dataclasses.fields(SimConfig)]
+        flags = [flag for flag, _, _ in OPTIONS.values()]
+        assert len(set(flags)) == len(flags)
+
+    @pytest.mark.parametrize("field", dataclasses.fields(SimConfig), ids=lambda f: f.name)
+    def test_flag_and_config_key_agree(self, field, tmp_path):
+        flag, _, _ = OPTIONS[field.name]
+        text = OPTION_SAMPLES[field.name]
+        cfg_file = tmp_path / "run.cfg"
+        cfg_file.write_text(f"{field.name} = {text}\n")
+        parser = _build_parser()
+        from_flag = _build_config(parser.parse_args(["sweep", f"{flag}={text}"]))
+        from_file = _build_config(parser.parse_args(["sweep", "--config", str(cfg_file)]))
+        assert from_flag == from_file
+        assert getattr(from_flag, field.name) != getattr(SimConfig(), field.name)
 
 
 class TestEntryPoint:

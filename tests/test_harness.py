@@ -125,6 +125,16 @@ class TestNoiseDensity:
         with pytest.raises(ValueError):
             SimConfig().noise_density(math.nan, None)
 
+    @pytest.mark.parametrize("run", [run_sweep, run_baseline_ofdm_bpsk, monte_carlo_objective])
+    def test_negative_infinity_in_a_grid_fails_before_any_point(self, run, monkeypatch):
+        # SimConfig keeps -inf (the theory table's zero SNR); simulations reject it up front
+        calls = []
+        monkeypatch.setattr(harness, "_draws", lambda *args: calls.append(args) or iter(()))
+        cfg = SimConfig(ofdm_symbols=10, snr_db_grid=(0.0, 10.0, -INF))
+        with pytest.raises(ValueError, match="-inf"):
+            run(cfg)
+        assert calls == []
+
     def test_linear_overflow_rejected(self):
         # 10^(4000/10) is past the largest float; +inf stays the noiseless point
         with pytest.raises(ValueError, match="overflows"):
