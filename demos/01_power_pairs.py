@@ -9,7 +9,7 @@ say each operating point costs at a couple of SNRs.
 
 from ofdm_spm import (
     Policy,
-    ber_total,
+    ber_breakdown,
     detection_threshold,
     power_pair_for,
     reference_pair,
@@ -35,7 +35,7 @@ def main():
     for policy in Policy:
         pair = reference_pair(policy)
         cells = "".join(
-            f"{ber_total(10 ** (s / 10), pair):13.5f}" for s in SNRS_DB
+            f"{ber_breakdown(10 ** (s / 10), pair).ber_total:13.5f}" for s in SNRS_DB
         )
         print(f"{policy.value:16s}{cells}")
 
@@ -46,7 +46,7 @@ def main():
     for h in (1.10, 1.20, 1.35, 1.41):
         pair = power_pair_for(Policy.POWER_SAVING, h)
         print(f"  H = {h:.2f} -> L = {pair.low:.4f}, ber_total = "
-              f"{ber_total(10.0, pair):.5f}")
+              f"{ber_breakdown(10.0, pair).ber_total:.5f}")
 
 
 if __name__ == "__main__":

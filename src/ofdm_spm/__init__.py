@@ -3,11 +3,8 @@
 from .analysis import (
     BerBreakdown,
     PowerErrorTerms,
-    ber_bpsk_avg,
     ber_breakdown,
     ber_level,
-    ber_power,
-    ber_total,
     power_error_terms,
     rayleigh_bpsk_ber,
     throughput,

@@ -60,11 +60,6 @@ def ber_level(snr, level_factor) -> float:
     return _fade_tail(factor**2 * np.asarray(snr))
 
 
-def ber_bpsk_avg(snr, pair: PowerPair) -> float:
-    """BPSK-stream BER with equiprobable power bits: mean of the two levels."""
-    return 0.5 * (ber_level(snr, pair.low) + ber_level(snr, pair.high))
-
-
 class PowerErrorTerms(NamedTuple):
     """The three tails of the power-stream error rate.
 
@@ -94,19 +89,9 @@ def power_error_terms(snr, pair: PowerPair) -> PowerErrorTerms:
     return PowerErrorTerms(a=a, b=b, c=c)
 
 
-def ber_power(snr, pair: PowerPair) -> float:
-    """Power-stream BER with equiprobable bits over flat Rayleigh fading."""
-    return power_error_terms(snr, pair).total_compact()
-
-
-def ber_total(snr, pair: PowerPair) -> float:
-    """Overall BER: both substreams carry equal bit counts, so the mean."""
-    return 0.5 * (ber_power(snr, pair) + ber_bpsk_avg(snr, pair))
-
-
 @dataclass(frozen=True)
 class BerBreakdown:
-    """Closed-form rates of every stream at one SNR point."""
+    """Closed-form rates of every stream at a linear SNR or an array of them."""
 
     snr: float
     ber_bpsk_low: float
@@ -117,13 +102,18 @@ class BerBreakdown:
 
 
 def ber_breakdown(snr, pair: PowerPair) -> BerBreakdown:
-    """Evaluate all closed-form rates at one linear SNR."""
+    """Evaluate every closed-form rate at a linear SNR, elementwise on arrays.
+
+    A scalar snr gives Python floats, an array gives arrays of its shape.
+    The BPSK rate is the mean over the two equiprobable levels, and the
+    total the mean of the two streams, which carry equal bit counts.
+    """
     low = ber_level(snr, pair.low)
     high = ber_level(snr, pair.high)
     bpsk = 0.5 * (low + high)
-    power = ber_power(snr, pair)
+    power = power_error_terms(snr, pair).total_compact()
     return BerBreakdown(
-        snr=float(snr),
+        snr=snr,
         ber_bpsk_low=low,
         ber_bpsk_high=high,
         ber_bpsk=bpsk,

@@ -17,6 +17,7 @@ from .harness import (
     CHANNEL_MODES,
     SNR_CONVENTIONS,
     SimConfig,
+    _linear_snr,
     monte_carlo_objective,
     run_baseline_ofdm_bpsk,
     run_point,
@@ -53,6 +54,18 @@ def _policy(text: str) -> Policy:
         raise ValueError(f"unknown policy {text!r} (choices: {choices})") from None
 
 
+def _high(text: str):
+    return text if text == "auto" else float(text)
+
+
+def _parse(name: str, text, where: str):
+    """Parse one option's text, naming where it came from in an error."""
+    try:
+        return OPTIONS[name][1](text)
+    except ValueError as exc:
+        raise ValueError(f"{where}: {exc}") from None
+
+
 # SimConfig field -> (command-line flag, text parser, help); the config
 # file reads the same field names as keys. Flag and key text go through
 # the same parser, so a bad value gives the same one-line error from both.
@@ -62,8 +75,8 @@ OPTIONS = {
     "cp_len": ("--cp-len", int, None),
     "ofdm_symbols": ("--symbols", int, "OFDM symbols per SNR point"),
     "policy": ("--policy", _policy, " | ".join(p.value for p in Policy)),
-    # a float or the word "auto", resolved by _build_config
-    "high_factor": ("--high", str, "high level H, or 'auto' to pick it by scan"),
+    # the word "auto" is resolved by _build_config
+    "high_factor": ("--high", _high, "high level H, or 'auto' to pick it by scan"),
     "snr_db_grid": ("--snr-grid", _floats, "comma-separated dB values"),
     "channel_mode": ("--channel", str, " | ".join(CHANNEL_MODES)),
     "delays": ("--delays", _ints, "comma-separated tap delays in samples"),
@@ -89,7 +102,7 @@ def _load_config_file(path: str) -> dict:
             key = key.strip()
             if key not in OPTIONS:
                 raise ValueError(f"{path}:{lineno}: unknown key {key!r}")
-            values[key] = OPTIONS[key][1](text.strip())
+            values[key] = _parse(key, text.strip(), f"{path}:{lineno}: {key}")
     return values
 
 
@@ -102,10 +115,10 @@ def _add_common_options(parser: argparse.ArgumentParser):
 
 def _build_config(args, needs_seed: bool = False) -> SimConfig:
     values = _load_config_file(args.config) if getattr(args, "config", None) else {}
-    for name, (_, parse, _) in OPTIONS.items():
+    for name, (flag, _, _) in OPTIONS.items():
         given = getattr(args, name, None)
         if given is not None:
-            values[name] = parse(given)
+            values[name] = _parse(name, given, flag)
     if needs_seed and "master_seed" not in values:
         # simulations must never run on an implicit seed
         raise ValueError(
@@ -113,8 +126,8 @@ def _build_config(args, needs_seed: bool = False) -> SimConfig:
             "in the config file)"
         )
     high = values.get("high_factor")
-    if high is not None:
-        values["high_factor"] = None if high == "auto" else float(high)
+    if high == "auto":
+        values["high_factor"] = None
     cfg = SimConfig(**values)
     if high == "auto":
         # scan only once SimConfig has validated the policy and the grid
@@ -125,14 +138,10 @@ def _build_config(args, needs_seed: bool = False) -> SimConfig:
 
 def _cmd_theory(args) -> int:
     cfg = _build_config(args)
-    pair = cfg.pair()
-    rows = []
-    for snr_db in cfg.snr_db_grid:
-        bd = ber_breakdown(10.0 ** (snr_db / 10.0), pair)
-        rate = throughput(bd.ber_power, bd.ber_bpsk)
-        rows.append((snr_db, bd.ber_power, bd.ber_bpsk_low, bd.ber_bpsk_high,
-                     bd.ber_bpsk, bd.ber_total, rate))
-    write_table(args.out or sys.stdout, THEORY_COLUMNS, rows)
+    bd = ber_breakdown([_linear_snr(snr_db) for snr_db in cfg.snr_db_grid], cfg.pair())
+    columns = (cfg.snr_db_grid, bd.ber_power, bd.ber_bpsk_low, bd.ber_bpsk_high,
+               bd.ber_bpsk, bd.ber_total, throughput(bd.ber_power, bd.ber_bpsk))
+    write_table(args.out or sys.stdout, THEORY_COLUMNS, zip(*columns))
     return 0
 
 

@@ -12,7 +12,7 @@ import concurrent.futures
 import csv
 import math
 import os
-from dataclasses import dataclass
+from dataclasses import astuple, dataclass, fields
 
 import numpy as np
 
@@ -49,20 +49,6 @@ INTEGER_FIELDS = (
     "batch_symbols",
     "workers",
 )
-
-CSV_COLUMNS = (
-    "snr_db",
-    "ber_power_sim",
-    "ber_bpsk_sim",
-    "ber_total_sim",
-    "ber_power_theory",
-    "ber_bpsk_theory",
-    "ber_total_theory",
-    "throughput",
-    "bits_counted",
-    "seed",
-)
-
 
 def _linear_snr(snr_db: float) -> float:
     """10^(snr_db / 10); +inf is the noiseless point, NaN and overflow fail."""
@@ -176,8 +162,9 @@ class SimConfig:
 class SweepRecord:
     """Simulated and closed-form rates at one SNR point.
 
-    Baseline (plain OFDM-BPSK) records carry NaN in the power fields and
-    bits_power = 0; their ber_total equals the BPSK rate.
+    The fields are the CSV columns, in order. Baseline (plain OFDM-BPSK)
+    records carry NaN in the power fields and count the BPSK bits only;
+    their ber_total equals the BPSK rate.
     """
 
     snr_db: float
@@ -188,13 +175,11 @@ class SweepRecord:
     ber_bpsk_theory: float
     ber_total_theory: float
     throughput: float
-    bits_power: int
-    bits_bpsk: int
+    bits_counted: int
     seed: int
 
-    @property
-    def bits_counted(self) -> int:
-        return self.bits_power + self.bits_bpsk
+
+CSV_COLUMNS = tuple(f.name for f in fields(SweepRecord))
 
 
 def _batch_plan(total: int, batch: int, block: int):
@@ -305,8 +290,7 @@ def run_point(cfg: SimConfig, snr_db: float, snr_index: int = 0) -> SweepRecord:
         ber_bpsk_theory=breakdown.ber_bpsk,
         ber_total_theory=breakdown.ber_total,
         throughput=throughput(ber_power_sim, ber_bpsk_sim),
-        bits_power=bits_per_stream,
-        bits_bpsk=bits_per_stream,
+        bits_counted=2 * bits_per_stream,
         seed=cfg.master_seed,
     )
 
@@ -328,8 +312,7 @@ def run_baseline_point(cfg: SimConfig, snr_db: float, snr_index: int = 0) -> Swe
         ber_bpsk_theory=theory,
         ber_total_theory=theory,
         throughput=1.0 - ber_bpsk_sim,
-        bits_power=0,
-        bits_bpsk=cfg.data_subcarriers * cfg.ofdm_symbols,
+        bits_counted=cfg.data_subcarriers * cfg.ofdm_symbols,
         seed=cfg.master_seed,
     )
 
@@ -338,8 +321,9 @@ def _sweep(cfg: SimConfig, point_fn) -> list[SweepRecord]:
     for snr_db in cfg.snr_db_grid:
         cfg.noise_density(snr_db, None)  # reject -inf before any point runs
     points = list(enumerate(cfg.snr_db_grid))
-    if cfg.workers > 1:
-        with concurrent.futures.ProcessPoolExecutor(max_workers=cfg.workers) as pool:
+    workers = min(cfg.workers, len(points))  # a pool starts all its workers at once
+    if workers > 1:
+        with concurrent.futures.ProcessPoolExecutor(max_workers=workers) as pool:
             futures = [pool.submit(point_fn, cfg, s, i) for i, s in points]
             return [f.result() for f in futures]
     return [point_fn(cfg, s, i) for i, s in points]
@@ -417,6 +401,5 @@ def write_table(destination, columns, rows) -> None:
 
 
 def write_csv(records, destination) -> None:
-    """Write sweep records with the fixed CSV_COLUMNS through write_table."""
-    rows = [[getattr(rec, name) for name in CSV_COLUMNS] for rec in records]
-    write_table(destination, CSV_COLUMNS, rows)
+    """Write sweep records, one CSV_COLUMNS row each, through write_table."""
+    write_table(destination, CSV_COLUMNS, map(astuple, records))

@@ -6,7 +6,7 @@ from typing import Callable
 
 import numpy as np
 
-from .analysis import ber_total
+from .analysis import ber_breakdown
 from .core import DEFAULT_HIGH_FACTOR, Policy, PowerPair, power_pair_for
 
 DEFAULT_SNR_GRID_DB = (0.0, 5.0, 10.0, 15.0, 20.0, 25.0, 30.0)
@@ -23,7 +23,7 @@ def mean_ber_objective(snr_db_grid=DEFAULT_SNR_GRID_DB) -> Callable[[PowerPair],
         raise ValueError("snr grid must not be empty")
 
     def objective(pair: PowerPair) -> float:
-        return float(np.mean([ber_total(s, pair) for s in snrs]))
+        return float(np.mean(ber_breakdown(snrs, pair).ber_total))
 
     return objective
 

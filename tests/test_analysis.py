@@ -14,11 +14,8 @@ import pytest
 
 from ofdm_spm import (
     Policy,
-    ber_bpsk_avg,
     ber_breakdown,
     ber_level,
-    ber_power,
-    ber_total,
     power_error_terms,
     power_pair_for,
     rayleigh_bpsk_ber,
@@ -81,7 +78,7 @@ class TestFrozenValues:
         )
 
     def test_bpsk_avg_spot(self):
-        assert ber_bpsk_avg(10.0, SAVING) == pytest.approx(
+        assert ber_breakdown(10.0, SAVING).ber_bpsk == pytest.approx(
             0.05664508871810502, abs=1e-12
         )
 
@@ -90,12 +87,12 @@ class TestFrozenValues:
         assert terms.a == pytest.approx(0.08673231044451574, abs=1e-12)
         assert terms.b == pytest.approx(0.007011473724823166, abs=1e-12)
         assert terms.c == pytest.approx(0.0024640136456014704, abs=1e-12)
-        assert ber_power(10.0, SAVING) == pytest.approx(
+        assert ber_breakdown(10.0, SAVING).ber_power == pytest.approx(
             0.09127977052373742, abs=1e-12
         )
 
     def test_total_spot(self):
-        assert ber_total(10.0, SAVING) == pytest.approx(
+        assert ber_breakdown(10.0, SAVING).ber_total == pytest.approx(
             0.07396242962092123, abs=1e-12
         )
 
@@ -129,16 +126,16 @@ class TestShapes:
     def test_monotone_decreasing_in_snr(self):
         snr = 10 ** (np.arange(0.0, 40.5, 0.5) / 10.0)
         for pair in (SAVING, NONOPT, OPT):
-            bp = np.array([ber_power(s, pair) for s in snr])
-            bb = np.array([ber_bpsk_avg(s, pair) for s in snr])
-            assert np.all(np.diff(bp) < 0)
-            assert np.all(np.diff(bb) < 0)
+            bd = ber_breakdown(snr, pair)
+            assert np.all(np.diff(bd.ber_power) < 0)
+            assert np.all(np.diff(bd.ber_bpsk) < 0)
 
     def test_rates_stay_in_unit_interval(self):
-        for snr in (1e-6, 1e-2, 1.0, 1e2, 1e6):
-            for pair in (SAVING, NONOPT, OPT):
-                assert 0.0 <= ber_power(snr, pair) <= 0.5
-                assert 0.0 <= ber_bpsk_avg(snr, pair) <= 0.5
+        snr = np.array([1e-6, 1e-2, 1.0, 1e2, 1e6])
+        for pair in (SAVING, NONOPT, OPT):
+            bd = ber_breakdown(snr, pair)
+            assert np.all((0.0 <= bd.ber_power) & (bd.ber_power <= 0.5))
+            assert np.all((0.0 <= bd.ber_bpsk) & (bd.ber_bpsk <= 0.5))
 
     def test_zero_snr_limit(self):
         # At snr -> 0 every tail goes to 1/2.
@@ -147,8 +144,8 @@ class TestShapes:
     def test_infinite_snr_is_error_free(self):
         inf = float("inf")
         assert rayleigh_bpsk_ber(inf) == 0.0
-        assert ber_power(inf, SAVING) == 0.0
-        assert ber_bpsk_avg(inf, SAVING) == 0.0
+        assert ber_breakdown(inf, SAVING).ber_power == 0.0
+        assert ber_breakdown(inf, SAVING).ber_bpsk == 0.0
         assert power_error_terms(inf, SAVING).total_compact() == 0.0
         assert total_crossings(inf, SAVING) == 0.0
 
@@ -162,7 +159,7 @@ class TestShapes:
         with pytest.raises(ValueError, match="NaN"):
             rayleigh_bpsk_ber(float("nan"))
         with pytest.raises(ValueError, match="NaN"):
-            ber_power(np.array([1.0, float("nan")]), SAVING)
+            ber_breakdown(np.array([1.0, float("nan")]), SAVING)
 
 
 class TestBreakdown:
@@ -171,8 +168,24 @@ class TestBreakdown:
         assert b.ber_bpsk_low == ber_level(10.0, SAVING.low)
         assert b.ber_bpsk_high == ber_level(10.0, SAVING.high)
         assert b.ber_bpsk == pytest.approx(0.5 * (b.ber_bpsk_low + b.ber_bpsk_high))
-        assert b.ber_power == ber_power(10.0, SAVING)
+        assert b.ber_power == power_error_terms(10.0, SAVING).total_compact()
         assert b.ber_total == pytest.approx(0.5 * (b.ber_power + b.ber_bpsk))
+
+    @pytest.mark.parametrize("pair", [SAVING, NONOPT, OPT])
+    def test_array_equals_scalar_calls(self, pair):
+        snr = np.array([0.0, 1e-3, 0.5, 10.0, 316.0, 1e8, math.inf])
+        for grid in (snr, snr[3:4]):
+            bd = ber_breakdown(grid, pair)
+            scalar = [ber_breakdown(float(s), pair) for s in grid]
+            for name in ("ber_bpsk_low", "ber_bpsk_high", "ber_bpsk", "ber_power", "ber_total"):
+                values = getattr(bd, name)
+                assert isinstance(values, np.ndarray) and values.shape == grid.shape
+                assert values.tolist() == [getattr(b, name) for b in scalar], name
+
+    def test_scalar_gives_python_floats(self):
+        b = ber_breakdown(10.0, SAVING)
+        for name in ("ber_bpsk_low", "ber_bpsk_high", "ber_bpsk", "ber_power", "ber_total"):
+            assert type(getattr(b, name)) is float, name
 
 
 class TestThroughput:

@@ -5,6 +5,7 @@ from __future__ import annotations
 import csv
 import dataclasses
 import io
+import os
 import shutil
 import subprocess
 import sys
@@ -15,7 +16,7 @@ import pytest
 from ofdm_spm import (
     Policy,
     SimConfig,
-    ber_total,
+    ber_breakdown,
     mean_ber_objective,
     power_pair_for,
     run_sweep,
@@ -25,10 +26,16 @@ from ofdm_spm import (
 from ofdm_spm.cli import OPTIONS, THEORY_COLUMNS, _build_config, _build_parser
 from ofdm_spm.harness import CSV_COLUMNS
 
+ROOT = Path(__file__).resolve().parents[1]
+# the subprocesses import the package from the source tree, as this process does
+ENV = dict(os.environ)
+ENV["PYTHONPATH"] = os.pathsep.join(p for p in (str(ROOT / "src"), ENV.get("PYTHONPATH")) if p)
+
 
 def run_cli(*args):
     return subprocess.run(
         [sys.executable, "-m", "ofdm_spm.cli", *args],
+        env=ENV,
         capture_output=True,
         text=True,
         timeout=120,
@@ -49,7 +56,7 @@ class TestTheory:
         row = list(csv.reader(io.StringIO(proc.stdout)))[1]
         pair = power_pair_for(Policy.POWER_SAVING, 1.35)
         assert float(row[THEORY_COLUMNS.index("ber_total")]) == pytest.approx(
-            ber_total(10.0, pair), abs=1e-15
+            ber_breakdown(10.0, pair).ber_total, abs=1e-15
         )
 
     def test_out_file(self, tmp_path):
@@ -147,7 +154,7 @@ class TestSweep:
             assert proc.returncode == 2
             assert proc.stderr.count("\n") == 1 and "unknown key" in proc.stderr
 
-    def test_invalid_value_fails_cleanly(self):
+    def test_invalid_value_fails_cleanly(self, tmp_path):
         proc = run_cli("sweep", "--seed", "0", "--cp-len", "7")
         assert proc.returncode == 2
         assert "error:" in proc.stderr
@@ -156,6 +163,20 @@ class TestSweep:
             proc = run_cli("sweep", "--seed", "0", flag, "bogus")
             assert proc.returncode == 2, flag
             assert proc.stderr.count("\n") == 1 and "bogus" in proc.stderr
+        # a value that does not parse names its flag, or its file line and key
+        cfg_file = tmp_path / "run.cfg"
+        cfg_file.write_text("ofdm_symbols = x\n")
+        for args, prefix in (
+            (("sweep", "--seed", "0", "--symbols", "bogus"), "--symbols: "),
+            (("theory", "--high", "abc"), "--high: "),
+            (("sweep", "--seed", "0", "--config", str(cfg_file)), f"{cfg_file}:1: ofdm_symbols: "),
+        ):
+            proc = run_cli(*args)
+            assert proc.returncode == 2, args
+            assert proc.stderr.count("\n") == 1 and proc.stderr.startswith("error: " + prefix)
+        cfg_file.write_text("high_factor = abc\n")
+        proc = run_cli("theory", "--config", str(cfg_file))
+        assert proc.stderr.startswith(f"error: {cfg_file}:1: high_factor: ")
 
     def test_nan_snr_fails_cleanly(self):
         proc = run_cli("sweep", "--snr-grid", "nan", "--seed", "1")
@@ -355,7 +376,7 @@ class TestEntryPoint:
     def test_console_script_target(self):
         """The [project.scripts] entry, run the way the installed wrapper runs it."""
         tomllib = pytest.importorskip("tomllib")
-        pyproject = Path(__file__).resolve().parents[1] / "pyproject.toml"
+        pyproject = ROOT / "pyproject.toml"
         scripts = tomllib.loads(pyproject.read_text())["project"]["scripts"]
         assert scripts["ofdm-spm"] == "ofdm_spm.cli:main"
         proc = subprocess.run(
@@ -367,6 +388,7 @@ class TestEntryPoint:
                 "--snr-grid",
                 "10",
             ],
+            env=ENV,
             capture_output=True,
             text=True,
             timeout=60,

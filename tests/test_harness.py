@@ -14,8 +14,7 @@ from ofdm_spm import (
     CSV_COLUMNS,
     Policy,
     SimConfig,
-    ber_bpsk_avg,
-    ber_power,
+    ber_breakdown,
     monte_carlo_objective,
     rayleigh_bpsk_ber,
     reference_pair,
@@ -222,11 +221,37 @@ class TestDeterminism:
         parallel = run_sweep(SimConfig(workers=2, **small))
         assert serial == parallel
 
+    @pytest.mark.parametrize("grid, started", [((5.0, 15.0), [2]), ((5.0,), [])])
+    def test_pool_has_no_more_workers_than_points(self, grid, started, monkeypatch):
+        pools = []
+
+        class InlinePool:
+            """Records the pool size and runs each task at submit, in process."""
+
+            def __init__(self, max_workers):
+                pools.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def submit(self, fn, *args):
+                future = concurrent.futures.Future()
+                future.set_result(fn(*args))
+                return future
+
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", InlinePool)
+        small = dict(channel_mode="flat", ofdm_symbols=100, snr_db_grid=grid, master_seed=9)
+        assert run_sweep(SimConfig(workers=8, **small)) == run_sweep(SimConfig(**small))
+        assert pools == started
+
     def test_partial_last_batch_counts_all_bits(self):
         cfg = _tiny(channel_mode="flat", ofdm_symbols=1500, batch_symbols=1024)
         rec = run_point(cfg, 10.0)
         assert rec.bits_counted == 2 * 52 * 1500
-        errors = rec.ber_power_sim * rec.bits_power
+        errors = rec.ber_power_sim * rec.bits_counted / 2
         assert errors == pytest.approx(round(errors), abs=1e-6)
 
 
@@ -236,12 +261,9 @@ class TestAccuracy:
             channel_mode="flat", ofdm_symbols=20_000, snr_db_grid=(10.0,), master_seed=7
         )
         rec = run_point(cfg, 10.0)
-        pair = cfg.pair()
+        bd = ber_breakdown(10.0**1.0, cfg.pair())
         n_bits = 52 * 20_000
-        for sim, theory in [
-            (rec.ber_power_sim, ber_power(10.0**1.0, pair)),
-            (rec.ber_bpsk_sim, ber_bpsk_avg(10.0**1.0, pair)),
-        ]:
+        for sim, theory in [(rec.ber_power_sim, bd.ber_power), (rec.ber_bpsk_sim, bd.ber_bpsk)]:
             sigma = math.sqrt(theory * (1 - theory) / n_bits)
             assert abs(sim - theory) < 3 * sigma
 
@@ -257,9 +279,9 @@ class TestAccuracy:
     def test_theory_columns_match_analysis(self):
         cfg = _tiny(channel_mode="flat", ofdm_symbols=100)
         rec = run_point(cfg, 10.0)
-        pair = cfg.pair()
-        assert rec.ber_power_theory == pytest.approx(ber_power(10.0, pair), abs=1e-15)
-        assert rec.ber_bpsk_theory == pytest.approx(ber_bpsk_avg(10.0, pair), abs=1e-15)
+        bd = ber_breakdown(10.0, cfg.pair())
+        assert rec.ber_power_theory == pytest.approx(bd.ber_power, abs=1e-15)
+        assert rec.ber_bpsk_theory == pytest.approx(bd.ber_bpsk, abs=1e-15)
         assert rec.ber_total_theory == pytest.approx(
             0.5 * (rec.ber_power_theory + rec.ber_bpsk_theory), abs=1e-15
         )
@@ -271,7 +293,9 @@ class TestAccuracy:
         pair = cfg.pair()
         snr_eff = 1.0 / cfg.noise_density(10.0, pair)
         assert snr_eff == pytest.approx(20.0)
-        assert rec.ber_power_theory == pytest.approx(ber_power(snr_eff, pair), abs=1e-15)
+        assert rec.ber_power_theory == pytest.approx(
+            ber_breakdown(snr_eff, pair).ber_power, abs=1e-15
+        )
 
     def test_record_internal_consistency(self):
         rec = run_point(_tiny(channel_mode="flat", ofdm_symbols=800), 5.0)
@@ -287,8 +311,7 @@ class TestAccuracy:
         rec = run_baseline_point(_tiny(channel_mode="flat", ofdm_symbols=800), 5.0)
         assert math.isnan(rec.ber_power_sim)
         assert math.isnan(rec.ber_power_theory)
-        assert rec.bits_power == 0
-        assert rec.bits_bpsk == 52 * 800
+        assert rec.bits_counted == 52 * 800  # no power bits
         assert rec.ber_total_sim == rec.ber_bpsk_sim
         assert rec.throughput == pytest.approx(1 - rec.ber_bpsk_sim, abs=1e-15)
 
@@ -434,9 +457,7 @@ class TestMonteCarloObjective:
         ref = reference_pair(Policy.POWER_SAVING)
         v1, v2 = obj(ref), obj(ref)
         assert v1 == v2
-        from ofdm_spm import ber_total
-
-        closed = np.mean([ber_total(10 ** (s / 10), ref) for s in cfg.snr_db_grid])
+        closed = np.mean([ber_breakdown(10 ** (s / 10), ref).ber_total for s in cfg.snr_db_grid])
         assert v1 == pytest.approx(closed, rel=0.15)
 
     def test_feeds_scan(self):

@@ -101,11 +101,11 @@ class TestObjectiveFactory:
             mean_ber_objective(())
 
     def test_single_point_value(self):
-        from ofdm_spm import ber_total
+        from ofdm_spm import ber_breakdown
 
         obj = mean_ber_objective((10.0,))
         ref = reference_pair(Policy.POWER_SAVING)
-        assert obj(ref) == pytest.approx(ber_total(10.0, ref), abs=1e-15)
+        assert obj(ref) == pytest.approx(ber_breakdown(10.0, ref).ber_total, abs=1e-15)
 
 
 class TestReferencePairs:
