@@ -26,6 +26,7 @@ from conftest import crossing_terms, total_crossings
 SAVING = power_pair_for(Policy.POWER_SAVING, 1.35)
 NONOPT = power_pair_for(Policy.REALLOC_NON_OPTIMIZED, 1.732)
 OPT = power_pair_for(Policy.REALLOC_OPTIMIZED, 1.918)
+RATES = ("ber_bpsk_low", "ber_bpsk_high", "ber_bpsk", "ber_power", "ber_total")
 
 
 def fade_tail_quadrature(x: float) -> float:
@@ -177,14 +178,14 @@ class TestBreakdown:
         for grid in (snr, snr[3:4]):
             bd = ber_breakdown(grid, pair)
             scalar = [ber_breakdown(float(s), pair) for s in grid]
-            for name in ("ber_bpsk_low", "ber_bpsk_high", "ber_bpsk", "ber_power", "ber_total"):
+            for name in RATES:
                 values = getattr(bd, name)
                 assert isinstance(values, np.ndarray) and values.shape == grid.shape
                 assert values.tolist() == [getattr(b, name) for b in scalar], name
 
     def test_scalar_gives_python_floats(self):
         b = ber_breakdown(10.0, SAVING)
-        for name in ("ber_bpsk_low", "ber_bpsk_high", "ber_bpsk", "ber_power", "ber_total"):
+        for name in RATES:
             assert type(getattr(b, name)) is float, name
 
 
