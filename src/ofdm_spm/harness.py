@@ -17,13 +17,8 @@ from dataclasses import astuple, dataclass, fields
 import numpy as np
 
 from .analysis import ber_breakdown, rayleigh_bpsk_ber, throughput
-from .channel import (
-    channel_frequency_response,
-    draw_awgn,
-    draw_flat_rayleigh,
-    draw_taps,
-    make_profile,
-)
+from . import rx
+from .channel import channel_frequency_response, draw_flat_rayleigh, draw_taps, make_profile
 from .core import (
     DEFAULT_HIGH_FACTOR,
     Policy,
@@ -35,7 +30,7 @@ from .core import (
     map_bpsk,
     power_pair_for,
 )
-from .rx import detect_bpsk_bit, detect_power_bit, equalize_symbols, ofdm_demodulate
+from .rx import detect_bpsk_bit, detect_power_bit
 
 CHANNEL_MODES = ("multipath", "flat", "identity")
 SNR_CONVENTIONS = ("subcarrier", "per_bit")
@@ -210,20 +205,25 @@ def _draws(cfg: SimConfig, snr_index: int, n0: float, streams: int):
     """Draw the random part of one SNR point, batch by batch.
 
     Yields (bits, noise, erased) per batch: bits of shape (count, streams,
-    n), the zero-forced noise W / H of the data bins, shape (count, n),
-    and the mask of bins erased by a gain below GAIN_FLOOR.
+    n), the in-phase zero-forced noise Re(W / H) of the data bins as
+    float64 of shape (count, n), and the mask of bins erased by a gain
+    below rx.GAIN_FLOOR.
 
     The cyclic prefix covers the delay spread (SimConfig enforces it), so
     the channel acts on each data bin as one complex gain H and the
-    demodulated bin is H X + W, with W the transform of the time-domain
-    noise w. The zero-forced bin is therefore X + W / H, and _error_counts
-    adds the points X without running them through the transforms and the
-    channel. The time-domain chain (ofdm_modulate, apply_channel,
-    add_awgn) is the public reference the tests compare this with, on the
-    same draws.
+    zero-forced bin is X + W / H, with W the unitary DFT of white noise.
+    The points X are real and both detectors read only the in-phase part,
+    so Re(W / H) = Re(W e^{-j arg H}) / |H| is all of the noise that
+    reaches a decision. Given H it is iid N(0, n0 / 2) / |H| over bins and
+    symbols (W is circularly symmetric), so it is drawn as one real normal
+    per data bin, with no transform. _error_counts adds the points X.
+    The time-domain chain (ofdm_modulate, apply_channel, add_awgn,
+    ofdm_demodulate, equalize_symbols) is the public reference the tests
+    check this against: the same bits, fading and erasures, and the same
+    noise distribution.
     """
     layout = cfg.layout()
-    n, cp, block = layout.n, cfg.cp_len, cfg.coherence_block
+    n, block = layout.n, cfg.coherence_block
     profile = cfg.profile() if cfg.channel_mode == "multipath" else None
     for batch_index, count in _batch_plan(cfg.ofdm_symbols, cfg.batch_symbols, block):
         rng = _batch_rng(cfg.master_seed, snr_index, batch_index)
@@ -239,8 +239,11 @@ def _draws(cfg: SimConfig, snr_index: int, n0: float, streams: int):
             taps = draw_taps(profile, blocks, rng)
             response = channel_frequency_response(taps, cfg.fft_size)[:, layout.data_bins]
             gains = _expand_blocks(response, block, count)
-        w = draw_awgn((count, cfg.fft_size + cp), n0, rng)
-        noise, erased = equalize_symbols(ofdm_demodulate(w, layout, cp), gains)
+        noise = rng.standard_normal((count, n))
+        noise *= math.sqrt(n0 / 2.0)
+        magnitude = np.abs(gains)
+        erased = magnitude < rx.GAIN_FLOOR  # read at call time; tests move the floor
+        np.divide(noise, magnitude, out=noise, where=~erased)
         yield bits, noise, erased
 
 
@@ -340,14 +343,10 @@ def run_baseline_ofdm_bpsk(cfg: SimConfig) -> list[SweepRecord]:
 
 
 def _noise_draw(cfg: SimConfig, snr_db: float, snr_index: int):
-    """The batches of one SNR point as the level scan keeps them.
-
-    The scan's points X(L, H) are real, so the in-phase noise Re(W / H)
-    is all of W / H that reaches a decision.
-    """
+    """The batches of one SNR point as the level scan keeps them: _draws'
+    (bits, in-phase noise, erased) as drawn, which serve every candidate."""
     n0 = cfg.noise_density(snr_db, cfg.pair())  # depends on the policy budget only
-    draws = _draws(cfg, snr_index, n0, 2)
-    return [(bits, noise.real.copy(), erased) for bits, noise, erased in draws]
+    return list(_draws(cfg, snr_index, n0, 2))
 
 
 def monte_carlo_objective(cfg: SimConfig):
@@ -360,9 +359,9 @@ def monte_carlo_objective(cfg: SimConfig):
     the SNR points spread over cfg.workers processes (one pool, if any).
     Each candidate is then a detection pass over the stored draws, through
     the _error_counts run_sweep uses, so it scores the rates run_sweep
-    gives at that candidate's H. The draws hold 2 int8 bits, one float64
-    and one erasure flag per data subcarrier and symbol, 11 bytes, at
-    every SNR point.
+    gives at that candidate's H. The draws hold 2 int8 bits, the float64
+    in-phase noise and one erasure flag per data subcarrier and symbol,
+    11 bytes, at every SNR point.
     """
     draws = _sweep(cfg, _noise_draw)
     bits_per_stream = cfg.data_subcarriers * cfg.ofdm_symbols

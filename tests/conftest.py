@@ -1,6 +1,12 @@
 """Shared pytest plumbing: acceptance lines repeated in the summary, a
 second coding of the power-stream BER that the closed forms are checked
-against, and the time-domain link chain the harness is checked against."""
+against, and the time-domain link chain the harness is checked against.
+
+The harness draws the in-phase noise Re(W / H) of each data bin directly;
+the time-domain chain draws white noise per sample and runs it through
+the FFT and zero forcing. They share the bits, the fading and the
+erasures, not the noise samples, so the tests compare them exactly on
+the noiseless part and statistically on the noise."""
 
 import math
 
@@ -57,11 +63,14 @@ def time_domain_draws(cfg, snr_index: int, n0: float, streams: int, mapper):
     """harness._draws the long way, on the same seeds and in the same draw order.
 
     Each batch of points goes through the IFFT and cyclic prefix, the tap
-    convolution (or the flat gains), AWGN, the FFT and zero forcing of
-    signal plus noise. Yields (bits, equalized symbols, erased) where
-    _draws yields (bits, equalized noise, erased): the symbols here already
-    carry the points, so harness._error_counts scores them with a mapper
-    that adds 0.
+    convolution (or the flat gains), AWGN of variance n0 per time sample,
+    the FFT and zero forcing of signal plus noise. Yields (bits, equalized
+    symbols, erased, gains). The complex symbols X + W / H already carry
+    the points, so harness._error_counts scores (bits, symbols, erased)
+    with a mapper that adds 0. gains are the data-bin responses H, or the
+    scalar 1.0 on the identity channel. The bits, gains and erasures come
+    from the same seeds and draw order as harness._draws; the noise
+    samples do not.
     """
     layout = cfg.layout()
     n, cp, block = layout.n, cfg.cp_len, cfg.coherence_block
@@ -87,4 +96,4 @@ def time_domain_draws(cfg, snr_index: int, n0: float, streams: int, mapper):
             x = apply_channel(x, _expand_blocks(taps, block, count))
         y = add_awgn(x, n0, rng)
         symbols, erased = equalize_symbols(ofdm_demodulate(y, layout, cp), gains)
-        yield bits, symbols, erased
+        yield bits, symbols, erased, gains

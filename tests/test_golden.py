@@ -8,15 +8,22 @@ that alters a single simulated error count shows up here. A change that
 alters these digests on purpose must say why and show that the
 acceptance criteria still pass.
 
-The same configs also run through the time-domain reference chain
-(conftest.time_domain_draws), which must give the harness's error counts.
+The harness draws the in-phase noise Re(W / H) of each data bin directly,
+so the time-domain reference chain (conftest.time_domain_draws), which
+transforms white noise per sample, shares its bits and fading but not its
+noise samples. On the same configs its noise must be the distribution the
+harness draws from, and at a larger symbol count its error rates must
+agree with the sweeps' within counting noise.
 """
 
 from __future__ import annotations
 
+import dataclasses
 import hashlib
 import io
+import math
 
+import numpy as np
 import pytest
 from conftest import time_domain_draws
 
@@ -86,23 +93,77 @@ def test_csv_digest(name):
     assert _digest(overrides, sweep) == expected
 
 
-@pytest.mark.parametrize("name", list(RUNS))
-def test_error_counts_match_the_time_domain_chain(name):
+def _link(sweep, cfg):
+    """(pair, mapper, detectors) of the sweep; the baseline has no pair."""
+    if sweep is run_sweep:
+        return (cfg.pair(), *harness._spm_link(cfg.pair()))
+    return None, lambda bits: map_bpsk(bits[:, 0]), (detect_bpsk_bit,)
+
+
+def _no_points(bits):
+    return np.zeros((bits.shape[0], bits.shape[-1]))
+
+
+# the worker count changes no draw
+DRAWN = [name for name in RUNS if name != "workers"]
+# each statistic may sit this many of its standard errors from its value
+# under N(0, 1); 1.1 times the noise amplitude moves the second moment by
+# over 100 of them
+Z = 5.0
+
+
+@pytest.mark.parametrize("name", DRAWN)
+def test_time_domain_noise_is_iid_standard_normal(name):
+    # Re(W / H) |H| / sqrt(n0 / 2) on every data bin of every point
     overrides, sweep, _ = RUNS[name]
     cfg = _config(overrides)
-    if sweep is run_sweep:
-        pair = cfg.pair()
-        mapper, detectors = harness._spm_link(pair)
-    else:
-        pair, mapper, detectors = None, lambda bits: map_bpsk(bits[:, 0]), (detect_bpsk_bit,)
+    pair, _, detectors = _link(sweep, cfg)
+    z, neighbours = [], []
     for snr_index, snr_db in enumerate(cfg.snr_db_grid):
         n0 = cfg.noise_density(snr_db, pair)
-        streams = len(detectors)
-        fast = harness._draws(cfg, snr_index, n0, streams)
-        slow = time_domain_draws(cfg, snr_index, n0, streams, mapper)
-        counts = harness._error_counts(fast, mapper, detectors)
-        assert counts == harness._error_counts(slow, lambda bits: 0.0, detectors)
-        assert 0 < sum(counts)
+        draws = time_domain_draws(cfg, snr_index, n0, len(detectors), _no_points)
+        for _, symbols, erased, gains in draws:
+            assert not erased.any()
+            scaled = symbols.real * np.abs(gains) / math.sqrt(n0 / 2.0)
+            z.append(scaled.ravel())
+            neighbours.append((scaled[:, :-1] * scaled[:, 1:]).ravel())
+    z, neighbours = np.concatenate(z), np.concatenate(neighbours)
+    size = z.size
+    assert abs(z.mean()) <= Z / math.sqrt(size)
+    assert abs(np.mean(z**2) - 1.0) <= Z * math.sqrt(2.0 / size)
+    tail = math.erfc(math.sqrt(2.0))  # P(|z| > 2)
+    assert abs(np.mean(np.abs(z) > 2.0) - tail) <= Z * math.sqrt(tail * (1 - tail) / size)
+    # adjacent data bins: E[z_k z_k+1] = 0 with unit variance
+    assert abs(neighbours.mean()) <= Z / math.sqrt(neighbours.size)
+
+
+# the engine comparison runs the golden configs at this many symbols
+ENGINE_SYMBOLS = 20_000
+# On multipath the bits of one symbol share one tap draw, which inflates
+# the counting variance; 12 is the benchmark's design effect for it
+# (bench/workloads.py DESIGN_EFFECT_MULTIPATH). The two engines also share
+# the bits and the fading, so their difference spreads less than this.
+DESIGN_EFFECT = {"multipath": 12.0, "flat": 1.0}
+
+
+@pytest.mark.parametrize("name", list(RUNS))
+def test_error_counts_match_the_time_domain_chain(name):
+    # each stream's simulated BER within Z sigma of the time-domain chain's
+    overrides, sweep, _ = RUNS[name]
+    cfg = dataclasses.replace(_config(overrides), ofdm_symbols=ENGINE_SYMBOLS)
+    pair, mapper, detectors = _link(sweep, cfg)
+    bits = cfg.data_subcarriers * cfg.ofdm_symbols
+    design_effect = DESIGN_EFFECT[cfg.channel_mode]
+    for snr_index, record in enumerate(sweep(cfg)):
+        n0 = cfg.noise_density(record.snr_db, pair)
+        draws = time_domain_draws(cfg, snr_index, n0, len(detectors), mapper)
+        slow = harness._error_counts(((b, s, e) for b, s, e, _ in draws),
+                                     lambda bits: 0.0, detectors)
+        fast = [record.ber_power_sim, record.ber_bpsk_sim][-len(detectors):]
+        for rate, errors in zip(fast, slow):
+            mean = 0.5 * (rate + errors / bits)
+            sigma = math.sqrt(2.0 * design_effect * mean * (1.0 - mean) / bits)
+            assert 0 < errors and abs(rate - errors / bits) <= Z * sigma, record
 
 
 SCAN_MC = (

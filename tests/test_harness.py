@@ -411,15 +411,16 @@ class TestMonteCarloObjective:
         assert fast.trace_objective.min() > 0
 
     def test_chain_runs_once_per_snr_point_and_batch(self, monkeypatch):
-        # every chain run transforms one batch of noise draws
+        # the draws are made once, whatever the number of candidates
         rows = []
-        demodulate = harness.ofdm_demodulate
+        draws = harness._draws
 
-        def counting(samples, layout, cp_len):
-            rows.append(samples.shape[0])
-            return demodulate(samples, layout, cp_len)
+        def counting(*args):
+            for batch in draws(*args):
+                rows.append(batch[1].shape[0])
+                yield batch
 
-        monkeypatch.setattr(harness, "ofdm_demodulate", counting)
+        monkeypatch.setattr(harness, "_draws", counting)
         cfg = SimConfig(ofdm_symbols=600, batch_symbols=256, snr_db_grid=(0.0, 10.0))
         res = scan_levels(Policy.POWER_SAVING, objective=monte_carlo_objective(cfg))
         assert res.trace_high.size == 37

@@ -1,6 +1,6 @@
 """Property tests: config files round-trip, batch plans tile the symbols,
-the noiseless link loops back, and the harness's frequency-domain chain
-agrees with the time-domain one."""
+the noiseless link loops back, and the harness's draws agree with the
+time-domain chain on the bits, the erasures and the noiseless symbols."""
 
 from __future__ import annotations
 
@@ -149,16 +149,18 @@ def test_noiseless_loopback_has_no_errors(cfg):
 
 
 @FEW
-@given(short_links(), st.floats(-10.0, 40.0))
-def test_frequency_domain_chain_matches_time_domain(cfg, snr_db):
-    pair = cfg.pair()
-    mapper, _ = harness._spm_link(pair)
-    n0 = cfg.noise_density(snr_db, pair)
-    fast = list(harness._draws(cfg, 0, n0, 2))
-    slow = list(time_domain_draws(cfg, 0, n0, 2, mapper))
+@given(short_links())
+def test_frequency_domain_chain_matches_time_domain(cfg):
+    # the noise samples differ by design (test_golden checks their law);
+    # with n0 = 0 both chains draw the same bits and erasures and give the
+    # points on every bin they keep
+    mapper, _ = harness._spm_link(cfg.pair())
+    fast = list(harness._draws(cfg, 0, 0.0, 2))
+    slow = list(time_domain_draws(cfg, 0, 0.0, 2, mapper))
     assert len(fast) == len(slow)
-    for (bits, noise, erased), (slow_bits, slow_symbols, slow_erased) in zip(fast, slow):
+    for (bits, noise, erased), (slow_bits, slow_symbols, slow_erased, _) in zip(fast, slow):
         np.testing.assert_array_equal(bits, slow_bits)
         np.testing.assert_array_equal(erased, slow_erased)
         fast_symbols = np.where(erased, 0.0, mapper(bits) + noise)
+        np.testing.assert_array_equal(fast_symbols, np.where(erased, 0.0, mapper(bits)))
         np.testing.assert_allclose(fast_symbols, slow_symbols, rtol=1e-9, atol=1e-9)
