@@ -46,33 +46,33 @@ RUNS = {
     "flat": (
         dict(channel_mode="flat"),
         run_sweep,
-        "98f37b1fa1aa578d24723fd9a3196cbb37097a452f33391893122c2e004ccc15",
+        "1a37d5ac265c06be62bf787e4199497eb4cf7761f4d4836d976f10bb43ec1220",
     ),
     "multipath": (
         dict(),
         run_sweep,
-        "3fc9c3814a2ca25f2cf2d9185faeec33cd25078412a91b4d5cd31c30de3b35dd",
+        "6ca064f0b98f50632ce2b33298f2433c9c875b9ffac53e2832ce4ba2634a43c1",
     ),
     "baseline": (
         dict(),
         run_baseline_ofdm_bpsk,
-        "39a3bffb4e53220570d458b9a0044d24a8f13975c161fe1352d51a5e6e330e90",
+        "377646cb1d4b3f4b9c51297b813c56cb58d25f2cc6e77e631d33bad9c49cf880",
     ),
     "per_bit": (
         dict(policy=Policy.REALLOC_OPTIMIZED, snr_convention="per_bit"),
         run_sweep,
-        "a2ad0e32e58012e3622e5465294961f914596bc004ca430e4073c87ca6b62b39",
+        "aefe1810df7932bee66092a371b6e257929069c4866d935b6eb352fdb68345a9",
     ),
     "coherence_block": (
         dict(coherence_block=4),
         run_sweep,
-        "9b1ba34de4e2ec8f3e70455a56bd23f00b5f573bd3c80393a7624f57e0d8a703",
+        "1a334a3ee80a9a5246df85e8bdf7ae3fbaae94a33abfc2412d49de2fcb3dd989",
     ),
     # the determinism contract: same bytes as the one-worker multipath run
     "workers": (
         dict(workers=2),
         run_sweep,
-        "3fc9c3814a2ca25f2cf2d9185faeec33cd25078412a91b4d5cd31c30de3b35dd",
+        "6ca064f0b98f50632ce2b33298f2433c9c875b9ffac53e2832ce4ba2634a43c1",
     ),
 }
 
@@ -190,8 +190,8 @@ CLI_RUNS = {
     ),
     "scan_mc": (
         SCAN_MC,
-        "72c59dadf85c9a74329e0858f41d65256efaf435ef0dd33d1fbaf4c54c565bde",
-        "929820e9c9e63b2d65afacdc0cc37f79d7af0fb0e7c4b9a1408ccb7d19955d9b",
+        "b1edf0a58a6ec2a0ee44a6ef0a71293f5cdb47cd334abef3283b43c2da5bca2c",
+        "2862ed2d4b90de88271d8e33bc043cbe1e2f9f2ba705073917c12b848b8f3362",
     ),
 }
 
