@@ -58,10 +58,10 @@ def _high(text: str):
     return text if text == "auto" else float(text)
 
 
-def _parse(name: str, text, where: str):
-    """Parse one option's text, naming where it came from in an error."""
+def _parse(parse, text, where: str):
+    """parse(text), naming where the text came from in an error."""
     try:
-        return OPTIONS[name][1](text)
+        return parse(text)
     except ValueError as exc:
         raise ValueError(f"{where}: {exc}") from None
 
@@ -102,7 +102,7 @@ def _load_config_file(path: str) -> dict:
             key = key.strip()
             if key not in OPTIONS:
                 raise ValueError(f"{path}:{lineno}: unknown key {key!r}")
-            values[key] = _parse(key, text.strip(), f"{path}:{lineno}: {key}")
+            values[key] = _parse(OPTIONS[key][1], text.strip(), f"{path}:{lineno}: {key}")
     return values
 
 
@@ -115,10 +115,10 @@ def _add_common_options(parser: argparse.ArgumentParser):
 
 def _build_config(args, needs_seed: bool = False) -> SimConfig:
     values = _load_config_file(args.config) if getattr(args, "config", None) else {}
-    for name, (flag, _, _) in OPTIONS.items():
+    for name, (flag, parse, _) in OPTIONS.items():
         given = getattr(args, name, None)
         if given is not None:
-            values[name] = _parse(name, given, flag)
+            values[name] = _parse(parse, given, flag)
     if needs_seed and "master_seed" not in values:
         # simulations must never run on an implicit seed
         raise ValueError(
@@ -147,7 +147,7 @@ def _cmd_theory(args) -> int:
 
 # how each simulation command turns its config into sweep records
 _RECORDS = {
-    "simulate": lambda cfg, args: [run_point(cfg, args.snr)],
+    "simulate": lambda cfg, args: [run_point(cfg, _parse(float, args.snr, "--snr"))],
     "sweep": lambda cfg, args: run_sweep(cfg),
     "baseline": lambda cfg, args: run_baseline_ofdm_bpsk(cfg),
 }
@@ -161,13 +161,15 @@ def _cmd_records(args) -> int:
 
 
 def _cmd_optimize(args) -> int:
+    h_start = _parse(float, args.h_start, "--h-start")
+    h_step = _parse(float, args.h_step, "--h-step")
     monte_carlo = args.objective == "monte_carlo"
     cfg = _build_config(args, needs_seed=monte_carlo)
     if monte_carlo:
         objective = monte_carlo_objective(cfg)
     else:
         objective = mean_ber_objective(cfg.snr_db_grid)
-    result = scan_levels(cfg.policy, objective, h_start=args.h_start, h_step=args.h_step)
+    result = scan_levels(cfg.policy, objective, h_start=h_start, h_step=h_step)
     if args.out:
         trace = zip(result.trace_high, result.trace_low, result.trace_objective)
         write_table(args.out, ("high", "low", "objective"), trace)
@@ -191,7 +193,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("simulate", help="Monte-Carlo at a single SNR")
     _add_common_options(p)
-    p.add_argument("--snr", type=float, required=True, help="SNR point in dB")
+    p.add_argument("--snr", required=True, help="SNR point in dB")
     p.set_defaults(func=_cmd_records)
 
     p = sub.add_parser("sweep", help="Monte-Carlo over the SNR grid")
@@ -204,8 +206,8 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("optimize", help="scan H for the best (L, H) pair")
     _add_common_options(p)
-    p.add_argument("--h-start", type=float, default=1.05)
-    p.add_argument("--h-step", type=float, default=0.01)
+    p.add_argument("--h-start", default=1.05)
+    p.add_argument("--h-step", default=0.01)
     p.add_argument("--objective", choices=("closed_form", "monte_carlo"),
                    default="closed_form")
     p.set_defaults(func=_cmd_optimize)

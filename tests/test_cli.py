@@ -169,6 +169,9 @@ class TestSweep:
         for args, prefix in (
             (("sweep", "--seed", "0", "--symbols", "bogus"), "--symbols: "),
             (("theory", "--high", "abc"), "--high: "),
+            (("optimize", "--h-start", "abc"), "--h-start: "),
+            (("optimize", "--h-step", "abc"), "--h-step: "),
+            (("simulate", "--seed", "0", "--snr", "abc"), "--snr: "),
             (("sweep", "--seed", "0", "--config", str(cfg_file)), f"{cfg_file}:1: ofdm_symbols: "),
         ):
             proc = run_cli(*args)
