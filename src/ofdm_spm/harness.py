@@ -205,22 +205,20 @@ def _draws(cfg: SimConfig, snr_index: int, n0: float, streams: int):
     """Draw the random part of one SNR point, batch by batch.
 
     Yields (bits, noise, erased) per batch: bits of shape (count, streams,
-    n), the in-phase zero-forced noise Re(W / H) of the data bins as
-    float64 of shape (count, n), and the mask of bins erased by a gain
-    below rx.GAIN_FLOOR.
+    n), the in-phase zero-forced noise Re(W / H) of the data bins, float64
+    of shape (count, n), and the mask of bins whose gain is below
+    rx.GAIN_FLOOR.
 
     The cyclic prefix covers the delay spread (SimConfig enforces it), so
-    the channel acts on each data bin as one complex gain H and the
-    zero-forced bin is X + W / H, with W the unitary DFT of white noise.
-    The points X are real and both detectors read only the in-phase part,
-    so Re(W / H) = Re(W e^{-j arg H}) / |H| is all of the noise that
-    reaches a decision. Given H it is iid N(0, n0 / 2) / |H| over bins and
-    symbols (W is circularly symmetric), so it is drawn as one real normal
-    per data bin, with no transform. _error_counts adds the points X.
-    The time-domain chain (ofdm_modulate, apply_channel, add_awgn,
-    ofdm_demodulate, equalize_symbols) is the public reference the tests
-    check this against: the same bits, fading and erasures, and the same
-    noise distribution.
+    each data bin sees one complex gain H and zero forcing gives X + W / H,
+    W the unitary DFT of white noise. The points X are real and both
+    detectors read only the in-phase part, Re(W / H) = Re(W e^{-j arg H})
+    / |H|, which given H is iid N(0, n0 / 2) / |H| (W is circularly
+    symmetric): one real normal per data bin, with no transform.
+    _error_counts adds the points. The tests check this against the
+    public time-domain chain (ofdm_modulate, apply_channel, add_awgn,
+    ofdm_demodulate, equalize_symbols): the same bits, fading and
+    erasures, and the same noise law.
     """
     layout = cfg.layout()
     n, block = layout.n, cfg.coherence_block
