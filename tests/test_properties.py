@@ -161,6 +161,6 @@ def test_frequency_domain_chain_matches_time_domain(cfg):
     for (bits, noise, erased), (slow_bits, slow_symbols, slow_erased, _) in zip(fast, slow):
         np.testing.assert_array_equal(bits, slow_bits)
         np.testing.assert_array_equal(erased, slow_erased)
-        fast_symbols = np.where(erased, 0.0, mapper(bits) + noise)
-        np.testing.assert_array_equal(fast_symbols, np.where(erased, 0.0, mapper(bits)))
+        assert not noise.any()
+        fast_symbols = np.where(erased, 0.0, mapper(bits))
         np.testing.assert_allclose(fast_symbols, slow_symbols, rtol=1e-9, atol=1e-9)
