@@ -120,19 +120,14 @@ def apply_channel(samples, taps) -> np.ndarray:
     return out
 
 
-def draw_awgn(shape, n0: float, rng) -> np.ndarray:
-    """CN(0, n0) samples of the given shape."""
+def add_awgn(samples, n0: float, rng) -> np.ndarray:
+    """Add complex white Gaussian noise, CN(0, n0) per sample."""
     if n0 < 0:
         raise ValueError(f"noise density must be nonnegative, got {n0!r}")
-    noise = _complex_normal(shape, rng)
-    noise *= np.sqrt(n0 / 2.0)
-    return noise
-
-
-def add_awgn(samples, n0: float, rng) -> np.ndarray:
-    """Add complex white Gaussian noise of variance n0 per sample."""
     x = np.asarray(samples)
-    return x + draw_awgn(x.shape, n0, rng)
+    noise = _complex_normal(x.shape, rng)
+    noise *= np.sqrt(n0 / 2.0)
+    return x + noise
 
 
 def draw_flat_rayleigh(count: int, rng) -> np.ndarray:
