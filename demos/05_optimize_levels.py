@@ -22,10 +22,10 @@ from ofdm_spm import (
 
 
 def main():
-    objective = mean_ber_objective()
     for policy in (Policy.POWER_SAVING, Policy.REALLOC_OPTIMIZED):
         res = scan_levels(policy)
         ref = reference_pair(policy)
+        objective = mean_ber_objective(SimConfig(policy=policy))
         print(f"# {policy.value}, closed-form objective")
         print(f"  candidates scanned: {res.trace_high.size}")
         print(f"  winner: H = {res.pair.high:.2f}, L = {res.pair.low:.4f}, "

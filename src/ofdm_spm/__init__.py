@@ -2,10 +2,7 @@
 
 from .analysis import (
     BerBreakdown,
-    PowerErrorTerms,
     ber_breakdown,
-    ber_level,
-    power_error_terms,
     rayleigh_bpsk_ber,
     throughput,
 )

@@ -14,11 +14,14 @@ the transmitted amplitude, which is all that is needed for both substreams:
   BPSK stream   error distances L and H (one per power level),
   power stream  boundary crossings at (H-L)/2, (H+3L)/2 and (3H+L)/2
                 combined with weights 1, +1/2, -1/2.
+
+ber_breakdown is the one evaluation of these rates, and rayleigh_bpsk_ber
+the plain OFDM-BPSK curve. Both take the linear detector SNR, which
+SimConfig.detector_snr derives from an SNR axis value in dB.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import NamedTuple
 
 import numpy as np
 
@@ -49,51 +52,10 @@ def rayleigh_bpsk_ber(snr) -> float:
     return _fade_tail(snr)
 
 
-def ber_level(snr, level_factor) -> float:
-    """BPSK BER when the symbol amplitude is scaled by level_factor.
-
-    The scaling multiplies the effective SNR by level_factor^2, nothing else.
-    """
-    factor = np.asarray(level_factor, dtype=np.float64)
-    if np.any(factor <= 0):
-        raise ValueError("level factor must be positive")
-    return _fade_tail(factor**2 * np.asarray(snr))
-
-
-class PowerErrorTerms(NamedTuple):
-    """The three tails of the power-stream error rate.
-
-    a is the tail at (H-L)/2, the midpoint crossing both levels can make;
-    b is half the tail at (H+3L)/2, where L crosses the opposite midpoint;
-    c is half the tail at (3H+L)/2, where H passes both boundaries and is
-    decided right again. P_power = a + b - c.
-    """
-
-    a: float
-    b: float
-    c: float
-
-    def total_compact(self):
-        return self.a + self.b - self.c
-
-
-def power_error_terms(snr, pair: PowerPair) -> PowerErrorTerms:
-    """Evaluate the three tails of the power-stream BER at the given SNR."""
-    snr = np.asarray(snr, dtype=np.float64)
-    d_mid = 0.5 * (pair.high - pair.low)       # level to midpoint
-    d_far = 0.5 * (pair.high + 3.0 * pair.low)  # low level to opposite midpoint
-    d_out = 0.5 * (3.0 * pair.high + pair.low)  # high level past the far boundary
-    a = _fade_tail(d_mid**2 * snr)
-    b = 0.5 * _fade_tail(d_far**2 * snr)
-    c = 0.5 * _fade_tail(d_out**2 * snr)
-    return PowerErrorTerms(a=a, b=b, c=c)
-
-
 @dataclass(frozen=True)
 class BerBreakdown:
     """Closed-form rates of every stream at a linear SNR or an array of them."""
 
-    snr: float
     ber_bpsk_low: float
     ber_bpsk_high: float
     ber_bpsk: float
@@ -104,16 +66,27 @@ class BerBreakdown:
 def ber_breakdown(snr, pair: PowerPair) -> BerBreakdown:
     """Evaluate every closed-form rate at a linear SNR, elementwise on arrays.
 
-    A scalar snr gives Python floats, an array gives arrays of its shape.
-    The BPSK rate is the mean over the two equiprobable levels, and the
-    total the mean of the two streams, which carry equal bit counts.
+    snr is the detector SNR that SimConfig.detector_snr maps an SNR axis
+    value to. A scalar snr gives Python floats, an array gives arrays of
+    its shape. The BPSK rate is the mean over the two equiprobable levels,
+    and the total the mean of the two streams, which carry equal bit
+    counts.
     """
-    low = ber_level(snr, pair.low)
-    high = ber_level(snr, pair.high)
+    snr = np.asarray(snr, dtype=np.float64)
+    low = _fade_tail(np.square(pair.low) * snr)
+    high = _fade_tail(np.square(pair.high) * snr)
     bpsk = 0.5 * (low + high)
-    power = power_error_terms(snr, pair).total_compact()
+    d_mid = 0.5 * (pair.high - pair.low)       # level to midpoint
+    d_far = 0.5 * (pair.high + 3.0 * pair.low)  # low level to opposite midpoint
+    d_out = 0.5 * (3.0 * pair.high + pair.low)  # high level past the far boundary
+    # both levels cross the midpoint; L crosses the opposite midpoint with
+    # weight 1/2; H passing both boundaries is decided right again
+    power = (
+        _fade_tail(d_mid**2 * snr)
+        + 0.5 * _fade_tail(d_far**2 * snr)
+        - 0.5 * _fade_tail(d_out**2 * snr)
+    )
     return BerBreakdown(
-        snr=snr,
         ber_bpsk_low=low,
         ber_bpsk_high=high,
         ber_bpsk=bpsk,

@@ -17,7 +17,6 @@ from .harness import (
     CHANNEL_MODES,
     SNR_CONVENTIONS,
     SimConfig,
-    _linear_snr,
     monte_carlo_objective,
     run_baseline_ofdm_bpsk,
     run_point,
@@ -131,14 +130,15 @@ def _build_config(args, needs_seed: bool = False) -> SimConfig:
     cfg = SimConfig(**values)
     if high == "auto":
         # scan only once SimConfig has validated the policy and the grid
-        best = scan_levels(cfg.policy, mean_ber_objective(cfg.snr_db_grid)).pair
+        best = scan_levels(cfg.policy, mean_ber_objective(cfg)).pair
         cfg = dataclasses.replace(cfg, high_factor=best.high)
     return cfg
 
 
 def _cmd_theory(args) -> int:
     cfg = _build_config(args)
-    bd = ber_breakdown([_linear_snr(snr_db) for snr_db in cfg.snr_db_grid], cfg.pair())
+    pair = cfg.pair()
+    bd = ber_breakdown([cfg.detector_snr(snr_db, pair) for snr_db in cfg.snr_db_grid], pair)
     columns = (cfg.snr_db_grid, bd.ber_power, bd.ber_bpsk_low, bd.ber_bpsk_high,
                bd.ber_bpsk, bd.ber_total, throughput(bd.ber_power, bd.ber_bpsk))
     write_table(args.out or sys.stdout, THEORY_COLUMNS, zip(*columns))
@@ -168,7 +168,7 @@ def _cmd_optimize(args) -> int:
     if monte_carlo:
         objective = monte_carlo_objective(cfg)
     else:
-        objective = mean_ber_objective(cfg.snr_db_grid)
+        objective = mean_ber_objective(cfg)
     result = scan_levels(cfg.policy, objective, h_start=h_start, h_step=h_step)
     if args.out:
         trace = zip(result.trace_high, result.trace_low, result.trace_objective)

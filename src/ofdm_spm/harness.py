@@ -34,16 +34,7 @@ from .rx import detect_bpsk_bit, detect_power_bit
 
 CHANNEL_MODES = ("multipath", "flat", "identity")
 SNR_CONVENTIONS = ("subcarrier", "per_bit")
-INTEGER_FIELDS = (
-    "fft_size",
-    "data_subcarriers",
-    "cp_len",
-    "ofdm_symbols",
-    "coherence_block",
-    "master_seed",
-    "batch_symbols",
-    "workers",
-)
+
 
 def _linear_snr(snr_db: float) -> float:
     """10^(snr_db / 10); +inf is the noiseless point, NaN and overflow fail."""
@@ -64,10 +55,11 @@ class SimConfig:
 
     high_factor = None selects the reference operating point of the
     policy. The fft_size - data_subcarriers bins left over are guards.
-    snr_convention picks how the x axis maps to noise density:
-    "subcarrier" treats it as per-subcarrier symbol SNR with Eb = 1 (the
-    convention the closed forms use), "per_bit" charges the full budget to
-    the two bits each subcarrier carries.
+    snr_convention picks how the x axis maps to the detector SNR, which
+    the closed forms take, and to the noise density, its inverse:
+    "subcarrier" treats it as per-subcarrier symbol SNR with Eb = 1,
+    "per_bit" charges the full budget to the two bits each subcarrier
+    carries.
     """
 
     fft_size: int = 64
@@ -87,10 +79,13 @@ class SimConfig:
     workers: int = 1
 
     def __post_init__(self):
-        for name in INTEGER_FIELDS:
-            value = getattr(self, name)
-            if not isinstance(value, (int, np.integer)) or isinstance(value, bool):
-                raise ValueError(f"{name} must be an integer, got {value!r}")
+        for f in fields(self):
+            value = getattr(self, f.name)
+            # annotations are postponed, so f.type is the text "int"
+            if f.type == "int" and (
+                not isinstance(value, (int, np.integer)) or isinstance(value, bool)
+            ):
+                raise ValueError(f"{f.name} must be an integer, got {value!r}")
         n = self.fft_size
         if n < 2 or n & (n - 1):
             raise ValueError(f"fft_size must be a power of two >= 2, got {n}")
@@ -142,15 +137,24 @@ class SimConfig:
     def profile(self):
         return make_profile(self.delays, self.powers_db)
 
-    def noise_density(self, snr_db: float, pair: PowerPair | None) -> float:
-        """Complex noise variance per sample implied by the SNR axis value."""
-        snr = _linear_snr(snr_db)
-        if snr == 0:
-            raise ValueError("snr_db = -inf is not simulatable")
+    def detector_snr(self, snr_db: float, pair: PowerPair | None) -> float:
+        """Linear SNR at the detector implied by the SNR axis value.
+
+        This is the SNR the closed forms take and the inverse of the
+        noise density. pair = None is the one-bit baseline, whose bit
+        energy is 1 under either convention.
+        """
         eb = 1.0
         if self.snr_convention == "per_bit" and pair is not None:
             eb = pair.budget / 4.0  # average symbol energy split over 2 bits
-        return eb / snr
+        return _linear_snr(snr_db) / eb
+
+    def noise_density(self, snr_db: float, pair: PowerPair | None) -> float:
+        """Complex noise variance per sample implied by the SNR axis value."""
+        snr = self.detector_snr(snr_db, pair)
+        if snr == 0:
+            raise ValueError("snr_db = -inf is not simulatable")
+        return 1.0 / snr
 
 
 @dataclass(frozen=True)
@@ -281,7 +285,7 @@ def run_point(cfg: SimConfig, snr_db: float, snr_index: int = 0) -> SweepRecord:
     bits_per_stream = cfg.data_subcarriers * cfg.ofdm_symbols
     errors = _error_counts(_draws(cfg, snr_index, n0, 2), *_spm_link(pair))
     ber_power_sim, ber_bpsk_sim = (e / bits_per_stream for e in errors)
-    breakdown = ber_breakdown(1.0 / n0 if n0 > 0 else math.inf, pair)
+    breakdown = ber_breakdown(cfg.detector_snr(snr_db, pair), pair)
     return SweepRecord(
         snr_db=float(snr_db),
         ber_power_sim=ber_power_sim,
@@ -303,7 +307,7 @@ def run_baseline_point(cfg: SimConfig, snr_db: float, snr_index: int = 0) -> Swe
         _draws(cfg, snr_index, n0, 1), lambda bits: map_bpsk(bits[:, 0]), (detect_bpsk_bit,)
     )
     ber_bpsk_sim = errors / (cfg.data_subcarriers * cfg.ofdm_symbols)
-    theory = rayleigh_bpsk_ber(1.0 / n0 if n0 > 0 else math.inf)
+    theory = rayleigh_bpsk_ber(cfg.detector_snr(snr_db, None))
     return SweepRecord(
         snr_db=float(snr_db),
         ber_power_sim=math.nan,

@@ -8,21 +8,22 @@ import numpy as np
 
 from .analysis import ber_breakdown
 from .core import DEFAULT_HIGH_FACTOR, Policy, PowerPair, power_pair_for
-
-DEFAULT_SNR_GRID_DB = (0.0, 5.0, 10.0, 15.0, 20.0, 25.0, 30.0)
+from .harness import SimConfig
 
 # stop the scan when H^2 comes within this margin of the budget: the
 # implied L would be numerically meaningless beyond it
 BUDGET_MARGIN = 1e-6
 
 
-def mean_ber_objective(snr_db_grid=DEFAULT_SNR_GRID_DB) -> Callable[[PowerPair], float]:
-    """Default objective: mean closed-form ber_total over an SNR grid."""
-    snrs = 10.0 ** (np.asarray(snr_db_grid, dtype=np.float64) / 10.0)
-    if snrs.size == 0:
-        raise ValueError("snr grid must not be empty")
+def mean_ber_objective(cfg: SimConfig) -> Callable[[PowerPair], float]:
+    """Default objective: mean closed-form ber_total over cfg.snr_db_grid.
+
+    Each grid value maps to the candidate's detector SNR under
+    cfg.snr_convention, as in the theory table and the sweeps.
+    """
 
     def objective(pair: PowerPair) -> float:
+        snrs = [cfg.detector_snr(snr_db, pair) for snr_db in cfg.snr_db_grid]
         return float(np.mean(ber_breakdown(snrs, pair).ber_total))
 
     return objective
@@ -52,13 +53,13 @@ def scan_levels(
     L would not satisfy 0 < L < H are skipped (the low end of the walk can
     be infeasible under the larger budget); the scan fails only when no
     candidate at all is feasible. Ties resolve to the smaller H. The
-    objective is deterministic by default (closed form), so the result is
-    too.
+    default objective is mean_ber_objective over SimConfig's default grid;
+    it is deterministic (closed form), so the result is too.
     """
     if not (h_start > 0 and h_step > 0):  # NaN fails too: it would never end the walk
         raise ValueError(f"h_start and h_step must be positive, got {h_start!r}, {h_step!r}")
     if objective is None:
-        objective = mean_ber_objective()
+        objective = mean_ber_objective(SimConfig(policy=policy))
     budget = policy.budget
     pairs, values = [], []
     k = 0

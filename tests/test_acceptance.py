@@ -20,8 +20,8 @@ from ofdm_spm import (
     Policy,
     PowerPair,
     SimConfig,
+    ber_breakdown,
     mean_ber_objective,
-    power_error_terms,
     reference_pair,
     run_baseline_ofdm_bpsk,
     run_baseline_point,
@@ -152,7 +152,7 @@ def test_criterion_02_closed_form_self_consistency():
         pair = PowerPair(low=math.sqrt(budget - h * h), high=h, budget=budget)
         snr = 10.0 ** rng.uniform(-1.0, 4.0)
         e1, _, e3, _ = conftest.crossing_terms(snr, pair)
-        compact = power_error_terms(snr, pair).total_compact()
+        compact = ber_breakdown(snr, pair).ber_power
         worst = max(worst, abs(compact - conftest.total_crossings(snr, pair)))
         e_identity &= e1 == e3
     ok = worst <= 1e-12 and e_identity
@@ -258,11 +258,10 @@ def test_criterion_09_policy_gap(gap_saving, gap_opt):
 
 def test_criterion_10_optimizer_dominance():
     t0 = time.perf_counter()
-    objective = mean_ber_objective()
     results = {}
     for policy in (Policy.POWER_SAVING, Policy.REALLOC_OPTIMIZED):
         res = scan_levels(policy, h_start=1.05, h_step=0.01)
-        ref_value = objective(reference_pair(policy))
+        ref_value = mean_ber_objective(SimConfig(policy=policy))(reference_pair(policy))
         results[policy] = (res, ref_value)
     elapsed = time.perf_counter() - t0
     dominated = all(

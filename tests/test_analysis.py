@@ -15,8 +15,6 @@ import pytest
 from ofdm_spm import (
     Policy,
     ber_breakdown,
-    ber_level,
-    power_error_terms,
     power_pair_for,
     rayleigh_bpsk_ber,
     throughput,
@@ -55,13 +53,18 @@ class TestFadeTailAgainstQuadrature:
         d_mid = 0.5 * (SAVING.high - SAVING.low)
         d_far = 0.5 * (SAVING.high + 3.0 * SAVING.low)
         d_out = 0.5 * (3.0 * SAVING.high + SAVING.low)
-        terms = power_error_terms(snr, SAVING)
-        assert terms.a == pytest.approx(fade_tail_quadrature(d_mid**2 * snr), abs=1e-8)
-        assert terms.b == pytest.approx(
-            0.5 * fade_tail_quadrature(d_far**2 * snr), abs=1e-8
+        bd = ber_breakdown(snr, SAVING)
+        assert bd.ber_power == pytest.approx(
+            fade_tail_quadrature(d_mid**2 * snr)
+            + 0.5 * fade_tail_quadrature(d_far**2 * snr)
+            - 0.5 * fade_tail_quadrature(d_out**2 * snr),
+            abs=1e-8,
         )
-        assert terms.c == pytest.approx(
-            0.5 * fade_tail_quadrature(d_out**2 * snr), abs=1e-8
+        assert bd.ber_bpsk_low == pytest.approx(
+            fade_tail_quadrature(SAVING.low**2 * snr), abs=1e-8
+        )
+        assert bd.ber_bpsk_high == pytest.approx(
+            fade_tail_quadrature(SAVING.high**2 * snr), abs=1e-8
         )
 
 
@@ -72,11 +75,9 @@ class TestFrozenValues:
         assert rayleigh_bpsk_ber(10.0) == pytest.approx(0.02327, abs=1e-4)
 
     def test_level_spots(self):
-        assert ber_level(10.0, 1.35) == pytest.approx(0.013177548967132274, abs=1e-12)
-        assert ber_level(10.0, 0.4213) == pytest.approx(0.10011518992551588, abs=1e-12)
-        assert ber_level(10.0, SAVING.low) == pytest.approx(
-            0.10011262846907777, abs=1e-12
-        )
+        bd = ber_breakdown(10.0, SAVING)
+        assert bd.ber_bpsk_high == pytest.approx(0.013177548967132274, abs=1e-12)
+        assert bd.ber_bpsk_low == pytest.approx(0.10011262846907777, abs=1e-12)
 
     def test_bpsk_avg_spot(self):
         assert ber_breakdown(10.0, SAVING).ber_bpsk == pytest.approx(
@@ -84,10 +85,6 @@ class TestFrozenValues:
         )
 
     def test_power_terms_spot(self):
-        terms = power_error_terms(10.0, SAVING)
-        assert terms.a == pytest.approx(0.08673231044451574, abs=1e-12)
-        assert terms.b == pytest.approx(0.007011473724823166, abs=1e-12)
-        assert terms.c == pytest.approx(0.0024640136456014704, abs=1e-12)
         assert ber_breakdown(10.0, SAVING).ber_power == pytest.approx(
             0.09127977052373742, abs=1e-12
         )
@@ -113,8 +110,7 @@ class TestDecompositionIdentity:
     @pytest.mark.parametrize("pair", [SAVING, NONOPT, OPT])
     @pytest.mark.parametrize("snr", [0.1, 1.0, 10.0, 316.0, 1e4])
     def test_compact_equals_crossings(self, pair, snr):
-        terms = power_error_terms(snr, pair)
-        assert terms.total_compact() == pytest.approx(
+        assert ber_breakdown(snr, pair).ber_power == pytest.approx(
             total_crossings(snr, pair), abs=1e-12
         )
 
@@ -147,14 +143,11 @@ class TestShapes:
         assert rayleigh_bpsk_ber(inf) == 0.0
         assert ber_breakdown(inf, SAVING).ber_power == 0.0
         assert ber_breakdown(inf, SAVING).ber_bpsk == 0.0
-        assert power_error_terms(inf, SAVING).total_compact() == 0.0
         assert total_crossings(inf, SAVING) == 0.0
 
     def test_negative_snr_rejected(self):
         with pytest.raises(ValueError):
             rayleigh_bpsk_ber(-1.0)
-        with pytest.raises(ValueError):
-            ber_level(10.0, -0.5)
 
     def test_nan_snr_rejected(self):
         with pytest.raises(ValueError, match="NaN"):
@@ -166,10 +159,19 @@ class TestShapes:
 class TestBreakdown:
     def test_consistent_with_parts(self):
         b = ber_breakdown(10.0, SAVING)
-        assert b.ber_bpsk_low == ber_level(10.0, SAVING.low)
-        assert b.ber_bpsk_high == ber_level(10.0, SAVING.high)
+        assert b.ber_bpsk_low == rayleigh_bpsk_ber(SAVING.low**2 * 10.0)
+        assert b.ber_bpsk_high == rayleigh_bpsk_ber(SAVING.high**2 * 10.0)
         assert b.ber_bpsk == pytest.approx(0.5 * (b.ber_bpsk_low + b.ber_bpsk_high))
-        assert b.ber_power == power_error_terms(10.0, SAVING).total_compact()
+        d_mid, d_far, d_out = (
+            0.5 * (SAVING.high - SAVING.low),
+            0.5 * (SAVING.high + 3.0 * SAVING.low),
+            0.5 * (3.0 * SAVING.high + SAVING.low),
+        )
+        assert b.ber_power == (
+            rayleigh_bpsk_ber(d_mid**2 * 10.0)
+            + 0.5 * rayleigh_bpsk_ber(d_far**2 * 10.0)
+            - 0.5 * rayleigh_bpsk_ber(d_out**2 * 10.0)
+        )
         assert b.ber_total == pytest.approx(0.5 * (b.ber_power + b.ber_bpsk))
 
     @pytest.mark.parametrize("pair", [SAVING, NONOPT, OPT])

@@ -11,6 +11,7 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from ofdm_spm import (
@@ -19,11 +20,12 @@ from ofdm_spm import (
     ber_breakdown,
     mean_ber_objective,
     power_pair_for,
+    rayleigh_bpsk_ber,
     run_sweep,
     scan_levels,
     write_csv,
 )
-from ofdm_spm.cli import OPTIONS, THEORY_COLUMNS, _build_config, _build_parser
+from ofdm_spm.cli import OPTIONS, THEORY_COLUMNS, _build_config, _build_parser, main
 from ofdm_spm.harness import CSV_COLUMNS
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -67,13 +69,70 @@ class TestTheory:
         assert len(out.read_text().splitlines()) == 3
 
     def test_high_auto_scans_the_given_grid(self):
-        grid = mean_ber_objective((-10.0,))
+        grid = mean_ber_objective(SimConfig(snr_db_grid=(-10.0,)))
         high = scan_levels(Policy.POWER_SAVING, grid).pair.high
         assert high == pytest.approx(1.24)
         auto = run_cli("theory", "--high", "auto", "--snr-grid", "-10")
         fixed = run_cli("theory", "--high", repr(high), "--snr-grid", "-10")
         assert auto.returncode == 0, auto.stderr
         assert auto.stdout == fixed.stdout
+
+
+# at 2, 5 and 15 dB 1 / (1 / snr) != snr, which at 2 dB moves the BPSK
+# curve too, and numpy's and Python's float power convert 25 dB apart
+AGREEMENT_GRID = (0.0, 2.0, 5.0, 15.0, 25.0)
+THEORY_CELLS = {"ber_power_theory": "ber_power", "ber_bpsk_theory": "ber_bpsk",
+                "ber_total_theory": "ber_total"}
+
+
+def _table(argv, tmp_path):
+    """Rows of the CSV that main(argv) writes, as dicts of cell text."""
+    out = tmp_path / "table.csv"
+    assert main([*argv, "--out", str(out)]) == 0
+    with out.open(newline="") as handle:
+        return list(csv.DictReader(handle))
+
+
+@pytest.mark.parametrize("convention", ["subcarrier", "per_bit"])
+@pytest.mark.parametrize("policy", ["saving", "realloc_opt"])
+class TestClosedFormAgreement:
+    """Every command evaluates the closed forms at SimConfig.detector_snr."""
+
+    def _args(self, policy, convention):
+        grid = ",".join(map(str, AGREEMENT_GRID))
+        return ["--policy", policy, "--snr-convention", convention, "--snr-grid", grid]
+
+    def test_sweep_theory_cells_are_the_theory_table(self, policy, convention, tmp_path):
+        args = self._args(policy, convention)
+        theory = _table(["theory", *args], tmp_path)
+        sweep = _table(["sweep", *args, "--channel", "flat", "--symbols", "10",
+                        "--seed", "0"], tmp_path)
+        for row, record in zip(theory, sweep, strict=True):
+            assert record["snr_db"] == row["snr_db"]
+            for cell, column in THEORY_CELLS.items():
+                assert record[cell] == row[column], (row["snr_db"], cell)
+
+    def test_simulate_theory_cells_are_the_theory_table(self, policy, convention, tmp_path):
+        args = self._args(policy, convention)
+        for row in _table(["theory", *args], tmp_path):
+            (record,) = _table(["simulate", *args, "--snr", row["snr_db"], "--channel",
+                                "flat", "--symbols", "10", "--seed", "0"], tmp_path)
+            for cell, column in THEORY_CELLS.items():
+                assert record[cell] == row[column], (row["snr_db"], cell)
+
+    def test_baseline_theory_is_the_bpsk_curve(self, policy, convention, tmp_path):
+        baseline = _table(["baseline", *self._args(policy, convention), "--channel",
+                           "flat", "--symbols", "10", "--seed", "0"], tmp_path)
+        for snr_db, record in zip(AGREEMENT_GRID, baseline, strict=True):
+            theory = rayleigh_bpsk_ber(10.0 ** (snr_db / 10.0))
+            assert float(record["ber_bpsk_theory"]) == theory, snr_db
+
+    def test_objective_is_the_mean_theory_total(self, policy, convention, tmp_path):
+        theory = _table(["theory", *self._args(policy, convention)], tmp_path)
+        cfg = SimConfig(policy=Policy(policy), snr_convention=convention,
+                        snr_db_grid=AGREEMENT_GRID)
+        mean_total = np.mean([float(row["ber_total"]) for row in theory])
+        assert mean_ber_objective(cfg)(cfg.pair()) == mean_total
 
 
 class TestSimulate:
