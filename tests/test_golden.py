@@ -186,7 +186,7 @@ CLI_RUNS = {
     "optimize_closed_form": (
         ["optimize", "--policy", "realloc_opt"],
         "a1e74d77236b0d61375597cd7ba4aec5f3934caafd199ed1bc9564a868eff24e",
-        "6ea69e7aeb0313e191cbd3483fb13502678be13aa93dad8395cdedefa55d6d17",
+        "9839083510fe2b0f8b5c0c05c132fd68849d7e145495e37e2cf87fc408b37c7b",
     ),
     "scan_mc": (
         SCAN_MC,
