@@ -79,13 +79,11 @@ class SimConfig:
     workers: int = 1
 
     def __post_init__(self):
-        for f in fields(self):
-            value = getattr(self, f.name)
-            # annotations are postponed, so f.type is the text "int"
-            if f.type == "int" and (
-                not isinstance(value, (int, np.integer)) or isinstance(value, bool)
-            ):
-                raise ValueError(f"{f.name} must be an integer, got {value!r}")
+        # annotations are postponed, so an int field's type is the text "int"
+        for name in (f.name for f in fields(self) if f.type == "int"):
+            value = getattr(self, name)
+            if not isinstance(value, (int, np.integer)) or isinstance(value, bool):
+                raise ValueError(f"{name} must be an integer, got {value!r}")
         n = self.fft_size
         if n < 2 or n & (n - 1):
             raise ValueError(f"fft_size must be a power of two >= 2, got {n}")
