@@ -7,17 +7,17 @@ The building block is the classical coherent-BPSK result
 
 evaluated here in the algebraically identical form
 0.5 / ((1 + snr) * (1 + sqrt(snr / (1 + snr)))) which does not cancel at
-high SNR. Substituting a scaled SNR d^2 * snr gives the probability that
-the fading-averaged in-phase noise crosses a boundary at distance d from
-the transmitted amplitude, which is all that is needed for both substreams:
+high SNR. rayleigh_bpsk_ber is that one fading tail; at np.square(d) * snr
+it gives the probability that the fading-averaged in-phase noise crosses a
+boundary at distance d from the amplitude sent, all both substreams need:
 
   BPSK stream   error distances L and H (one per power level),
   power stream  boundary crossings at (H-L)/2, (H+3L)/2 and (3H+L)/2
                 combined with weights 1, +1/2, -1/2.
 
-ber_breakdown is the one evaluation of these rates, and rayleigh_bpsk_ber
-the plain OFDM-BPSK curve. Both take the linear detector SNR, which
-SimConfig.detector_snr derives from an SNR axis value in dB.
+ber_breakdown evaluates the tail at these five distances; BerBreakdown's
+fields, in order, are the theory table's columns. Both functions take the
+linear detector SNR, which SimConfig.detector_snr derives from dB.
 """
 from __future__ import annotations
 
@@ -28,9 +28,14 @@ import numpy as np
 from .core import PowerPair
 
 
-def _fade_tail(x):
-    """0.5 * (1 - sqrt(x/(1+x))) in a cancellation-free form; x >= 0."""
-    x = np.asarray(x, dtype=np.float64)
+def rayleigh_bpsk_ber(snr):
+    """Average BER of coherent BPSK over flat Rayleigh fading.
+
+    `snr` is the linear per-symbol Eb/N0 at the detector, elementwise on
+    arrays; +inf is the noiseless point. This is also the baseline curve
+    for plain OFDM-BPSK on any unit-power channel.
+    """
+    x = np.asarray(snr, dtype=np.float64)
     if np.any(np.isnan(x)):
         raise ValueError("effective snr must not be NaN")
     if np.any(x < 0):
@@ -43,23 +48,14 @@ def _fade_tail(x):
     return out if out.ndim else float(out)
 
 
-def rayleigh_bpsk_ber(snr) -> float:
-    """Average BER of coherent BPSK over flat Rayleigh fading.
-
-    `snr` is the linear per-symbol Eb/N0 at the detector. This is also the
-    baseline curve for plain OFDM-BPSK on any unit-power channel.
-    """
-    return _fade_tail(snr)
-
-
 @dataclass(frozen=True)
 class BerBreakdown:
     """Closed-form rates of every stream at a linear SNR or an array of them."""
 
+    ber_power: float
     ber_bpsk_low: float
     ber_bpsk_high: float
     ber_bpsk: float
-    ber_power: float
     ber_total: float
 
 
@@ -73,26 +69,21 @@ def ber_breakdown(snr, pair: PowerPair) -> BerBreakdown:
     counts.
     """
     snr = np.asarray(snr, dtype=np.float64)
-    low = _fade_tail(np.square(pair.low) * snr)
-    high = _fade_tail(np.square(pair.high) * snr)
+    low, high, mid, far, past = (
+        rayleigh_bpsk_ber(np.square(d) * snr)
+        for d in (
+            pair.low,
+            pair.high,
+            0.5 * (pair.high - pair.low),       # level to midpoint
+            0.5 * (pair.high + 3.0 * pair.low),  # low level to opposite midpoint
+            0.5 * (3.0 * pair.high + pair.low),  # high level past the far boundary
+        )
+    )
     bpsk = 0.5 * (low + high)
-    d_mid = 0.5 * (pair.high - pair.low)       # level to midpoint
-    d_far = 0.5 * (pair.high + 3.0 * pair.low)  # low level to opposite midpoint
-    d_out = 0.5 * (3.0 * pair.high + pair.low)  # high level past the far boundary
     # both levels cross the midpoint; L crosses the opposite midpoint with
     # weight 1/2; H passing both boundaries is decided right again
-    power = (
-        _fade_tail(d_mid**2 * snr)
-        + 0.5 * _fade_tail(d_far**2 * snr)
-        - 0.5 * _fade_tail(d_out**2 * snr)
-    )
-    return BerBreakdown(
-        ber_bpsk_low=low,
-        ber_bpsk_high=high,
-        ber_bpsk=bpsk,
-        ber_power=power,
-        ber_total=0.5 * (power + bpsk),
-    )
+    power = mid + 0.5 * far - 0.5 * past
+    return BerBreakdown(power, low, high, bpsk, 0.5 * (power + bpsk))
 
 
 def throughput(ber_power_rate, ber_bpsk_rate) -> float:

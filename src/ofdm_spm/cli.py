@@ -11,7 +11,7 @@ import argparse
 import dataclasses
 import sys
 
-from .analysis import ber_breakdown, throughput
+from .analysis import BerBreakdown, ber_breakdown, throughput
 from .core import Policy
 from .harness import (
     CHANNEL_MODES,
@@ -26,15 +26,7 @@ from .harness import (
 )
 from .optimize import mean_ber_objective, scan_levels
 
-THEORY_COLUMNS = (
-    "snr_db",
-    "ber_power",
-    "ber_bpsk_low",
-    "ber_bpsk_high",
-    "ber_bpsk",
-    "ber_total",
-    "throughput",
-)
+THEORY_COLUMNS = ("snr_db", *(f.name for f in dataclasses.fields(BerBreakdown)), "throughput")
 
 
 def _floats(text: str) -> tuple:
@@ -139,8 +131,8 @@ def _cmd_theory(args) -> int:
     cfg = _build_config(args)
     pair = cfg.pair()
     bd = ber_breakdown([cfg.detector_snr(snr_db, pair) for snr_db in cfg.snr_db_grid], pair)
-    columns = (cfg.snr_db_grid, bd.ber_power, bd.ber_bpsk_low, bd.ber_bpsk_high,
-               bd.ber_bpsk, bd.ber_total, throughput(bd.ber_power, bd.ber_bpsk))
+    tp = throughput(bd.ber_power, bd.ber_bpsk)
+    columns = (cfg.snr_db_grid, *dataclasses.astuple(bd), tp)
     write_table(args.out or sys.stdout, THEORY_COLUMNS, zip(*columns))
     return 0
 

@@ -158,21 +158,25 @@ class TestShapes:
 
 class TestBreakdown:
     def test_consistent_with_parts(self):
-        b = ber_breakdown(10.0, SAVING)
-        assert b.ber_bpsk_low == rayleigh_bpsk_ber(SAVING.low**2 * 10.0)
-        assert b.ber_bpsk_high == rayleigh_bpsk_ber(SAVING.high**2 * 10.0)
-        assert b.ber_bpsk == pytest.approx(0.5 * (b.ber_bpsk_low + b.ber_bpsk_high))
-        d_mid, d_far, d_out = (
-            0.5 * (SAVING.high - SAVING.low),
-            0.5 * (SAVING.high + 3.0 * SAVING.low),
-            0.5 * (3.0 * SAVING.high + SAVING.low),
-        )
-        assert b.ber_power == (
-            rayleigh_bpsk_ber(d_mid**2 * 10.0)
-            + 0.5 * rayleigh_bpsk_ber(d_far**2 * 10.0)
-            - 0.5 * rayleigh_bpsk_ber(d_out**2 * 10.0)
-        )
-        assert b.ber_total == pytest.approx(0.5 * (b.ber_power + b.ber_bpsk))
+        # at these saving highs Python's d**2 differs from np.square(d) for
+        # a distance, so only one squaring rule gives every == below
+        extra = [power_pair_for(Policy.POWER_SAVING, h) for h in (1.0901, 1.3141, 1.3456, 1.3501)]
+        for pair in [SAVING, *extra]:
+            b = ber_breakdown(10.0, pair)
+            assert b.ber_bpsk_low == rayleigh_bpsk_ber(np.square(pair.low) * 10.0)
+            assert b.ber_bpsk_high == rayleigh_bpsk_ber(np.square(pair.high) * 10.0)
+            assert b.ber_bpsk == pytest.approx(0.5 * (b.ber_bpsk_low + b.ber_bpsk_high))
+            d_mid, d_far, d_out = (
+                0.5 * (pair.high - pair.low),
+                0.5 * (pair.high + 3.0 * pair.low),
+                0.5 * (3.0 * pair.high + pair.low),
+            )
+            assert b.ber_power == (
+                rayleigh_bpsk_ber(np.square(d_mid) * 10.0)
+                + 0.5 * rayleigh_bpsk_ber(np.square(d_far) * 10.0)
+                - 0.5 * rayleigh_bpsk_ber(np.square(d_out) * 10.0)
+            ), pair.high
+            assert b.ber_total == pytest.approx(0.5 * (b.ber_power + b.ber_bpsk))
 
     @pytest.mark.parametrize("pair", [SAVING, NONOPT, OPT])
     def test_array_equals_scalar_calls(self, pair):
