@@ -26,6 +26,7 @@ from .core import (
     detection_threshold,
     map_bpsk,
     power_pair_for,
+    reference_pair,
 )
 from .harness import (
     CSV_COLUMNS,
@@ -38,7 +39,7 @@ from .harness import (
     run_sweep,
     write_csv,
 )
-from .optimize import ScanResult, mean_ber_objective, reference_pair, scan_levels
+from .optimize import ScanResult, mean_ber_objective, scan_levels
 from .rx import detect_bpsk_bit, detect_power_bit, equalize_symbols, ofdm_demodulate
 from .tx import ofdm_modulate
 

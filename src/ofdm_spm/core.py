@@ -45,6 +45,11 @@ DEFAULT_HIGH_FACTOR = {
 }
 
 
+def reference_pair(policy: Policy) -> PowerPair:
+    """The documented operating point for a policy, at DEFAULT_HIGH_FACTOR."""
+    return power_pair_for(policy, DEFAULT_HIGH_FACTOR[policy])
+
+
 @dataclass(frozen=True)
 class PowerPair:
     """Amplitude pair (L, H) plus the budget it was built against."""

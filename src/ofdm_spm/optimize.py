@@ -7,7 +7,7 @@ from typing import Callable
 import numpy as np
 
 from .analysis import ber_breakdown
-from .core import DEFAULT_HIGH_FACTOR, Policy, PowerPair, power_pair_for
+from .core import Policy, PowerPair, power_pair_for
 from .harness import SimConfig
 
 # stop the scan when H^2 comes within this margin of the budget: the
@@ -87,8 +87,3 @@ def scan_levels(
         trace_low=np.array([p.low for p in pairs]),
         trace_objective=np.asarray(values),
     )
-
-
-def reference_pair(policy: Policy) -> PowerPair:
-    """The documented operating point for a policy (see core.DEFAULT_HIGH_FACTOR)."""
-    return power_pair_for(policy, DEFAULT_HIGH_FACTOR[policy])
