@@ -20,7 +20,6 @@ from .analysis import ber_breakdown, rayleigh_bpsk_ber, throughput
 from . import rx
 from .channel import channel_frequency_response, draw_flat_rayleigh, draw_taps, make_profile
 from .core import (
-    DEFAULT_HIGH_FACTOR,
     Policy,
     PowerPair,
     SubcarrierLayout,
@@ -29,6 +28,7 @@ from .core import (
     detection_threshold,
     map_bpsk,
     power_pair_for,
+    reference_pair,
 )
 from .rx import detect_bpsk_bit, detect_power_bit
 
@@ -124,10 +124,9 @@ class SimConfig:
         self.pair()  # validates policy/high_factor feasibility
 
     def pair(self) -> PowerPair:
-        h = self.high_factor
-        if h is None:
-            h = DEFAULT_HIGH_FACTOR[self.policy]
-        return power_pair_for(self.policy, h)
+        if self.high_factor is None:
+            return reference_pair(self.policy)
+        return power_pair_for(self.policy, self.high_factor)
 
     def layout(self) -> SubcarrierLayout:
         return default_layout(self.fft_size, self.data_subcarriers)
