@@ -11,6 +11,7 @@ from __future__ import annotations
 import concurrent.futures
 import csv
 import math
+import numbers
 import os
 from dataclasses import astuple, dataclass, fields
 
@@ -84,6 +85,11 @@ class SimConfig:
             value = getattr(self, name)
             if not isinstance(value, (int, np.integer)) or isinstance(value, bool):
                 raise ValueError(f"{name} must be an integer, got {value!r}")
+        if not isinstance(self.policy, Policy):
+            raise ValueError(f"policy must be a Policy, got {self.policy!r}")
+        h = self.high_factor
+        if h is not None and (not isinstance(h, numbers.Real) or isinstance(h, bool)):
+            raise ValueError(f"high_factor must be a real number or None, got {h!r}")
         n = self.fft_size
         if n < 2 or n & (n - 1):
             raise ValueError(f"fft_size must be a power of two >= 2, got {n}")

@@ -75,6 +75,9 @@ class TestConfigValidation:
             dict(cp_len=True, channel_mode="flat"),
             dict(data_subcarriers=52.0),
             dict(snr_db_grid=(0.0, 4000.0)),
+            dict(policy="saving"),
+            dict(high_factor="auto"),
+            dict(high_factor="1.3"),
         ],
     )
     def test_rejects(self, kw):
@@ -84,6 +87,10 @@ class TestConfigValidation:
     def test_integer_error_is_one_line(self):
         with pytest.raises(ValueError, match=r"^ofdm_symbols must be an integer, got 10\.5$"):
             SimConfig(ofdm_symbols=10.5)
+
+    def test_policy_error_is_one_line(self):
+        with pytest.raises(ValueError, match=r"^policy must be a Policy, got 'saving'$"):
+            SimConfig(policy="saving")
 
     def test_numpy_integers_accepted(self):
         cfg = SimConfig(ofdm_symbols=np.int64(10), master_seed=np.uint32(3))
