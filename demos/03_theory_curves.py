@@ -2,34 +2,26 @@
 
 No simulation here. The flat-Rayleigh closed forms evaluate instantly,
 which makes them the right tool for scanning design spaces; the Monte
-Carlo harness (demo 04) then confirms them. Output is a CSV-ish table on
-stdout, one block per policy.
+Carlo harness (demo 04) then confirms them. Each policy's block is the
+`ofdm-spm theory` table for its reference pair on the default grid.
 """
 
-import numpy as np
-
-from ofdm_spm import Policy, ber_breakdown, reference_pair, throughput
-
-GRID_DB = np.arange(0.0, 31.0, 5.0)
+from ofdm_spm import Policy, SimConfig, ber_breakdown, reference_pair, throughput
+from ofdm_spm.cli import main as cli_main
 
 
 def main():
     for policy in Policy:
         pair = reference_pair(policy)
         print(f"# {policy.value}  (L = {pair.low:.4f}, H = {pair.high:.4f})")
-        print("snr_db, ber_power, ber_bpsk, ber_total, throughput")
-        for snr_db in GRID_DB:
-            bd = ber_breakdown(10 ** (snr_db / 10), pair)
-            tp = throughput(bd.ber_power, bd.ber_bpsk)
-            print(
-                f"{snr_db:4.0f}, {bd.ber_power:.6f}, {bd.ber_bpsk:.6f}, "
-                f"{bd.ber_total:.6f}, {tp:.4f}"
-            )
+        cli_main(["theory", "--policy", policy.value])
         print()
 
     # The two-bits-per-subcarrier accounting means throughput approaches 2
     # where a plain BPSK grid approaches 1, at equal occupied bandwidth.
-    bd = ber_breakdown(10 ** (30 / 10), reference_pair(Policy.POWER_SAVING))
+    cfg = SimConfig()
+    pair = cfg.pair()
+    bd = ber_breakdown(cfg.detector_snr(30.0, pair), pair)
     print(
         "power saving at 30 dB reaches "
         f"{throughput(bd.ber_power, bd.ber_bpsk):.4f} bits/s/Hz "
