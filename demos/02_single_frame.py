@@ -9,31 +9,28 @@ is exact; with noise you can watch individual decisions wobble.
 import numpy as np
 
 from ofdm_spm import (
-    Policy,
+    SimConfig,
     constellation_point,
-    default_layout,
     detect_bpsk_bit,
     detect_power_bit,
     detection_threshold,
     equalize_symbols,
     ofdm_demodulate,
     ofdm_modulate,
-    power_pair_for,
 )
 from ofdm_spm.channel import (
     add_awgn,
     apply_channel,
     channel_frequency_response,
-    default_profile,
     draw_taps,
 )
 
-CP = 16
+CP = 16  # the prefix must cover the channel's delay spread
 
 
 def run_once(n0: float, rng) -> None:
-    layout = default_layout()
-    pair = power_pair_for(Policy.POWER_SAVING, 1.35)
+    cfg = SimConfig()  # the reference system
+    layout, pair = cfg.layout(), cfg.pair()
 
     # the first 52 bits pick the power levels, the last 52 the signs
     bits = rng.integers(0, 2, size=104)
@@ -42,7 +39,7 @@ def run_once(n0: float, rng) -> None:
     print(f"  first data bins: {np.round(points[:6], 4)}")
 
     samples = ofdm_modulate(points, layout, CP)
-    taps = draw_taps(default_profile(), 1, rng)[0]
+    taps = draw_taps(cfg.profile(), 1, rng)[0]
     received = add_awgn(apply_channel(samples, taps), n0, rng)
 
     gains = channel_frequency_response(taps, layout.fft_size)[layout.data_bins]

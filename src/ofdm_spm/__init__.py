@@ -11,7 +11,6 @@ from .channel import (
     add_awgn,
     apply_channel,
     channel_frequency_response,
-    default_profile,
     draw_flat_rayleigh,
     draw_taps,
     make_profile,

@@ -18,7 +18,6 @@ class ChannelProfile:
     """Power-delay profile. powers holds the normalized linear tap powers."""
 
     delays: np.ndarray = field(repr=False)
-    powers_db: np.ndarray = field(repr=False)
     powers: np.ndarray = field(repr=False)
 
     @property
@@ -50,14 +49,7 @@ def make_profile(delays, powers_db) -> ChannelProfile:
     if np.any(np.diff(d) <= 0):
         raise ValueError("delays must be strictly increasing")
     lin = 10.0 ** ((p_db - p_db.max()) / 10.0)
-    return ChannelProfile(
-        delays=d.astype(np.intp), powers_db=p_db, powers=lin / lin.sum()
-    )
-
-
-def default_profile() -> ChannelProfile:
-    """Five-tap decaying profile used by the reference multipath sweeps."""
-    return make_profile((0, 3, 5, 6, 8), (0.0, -8.0, -17.0, -21.0, -25.0))
+    return ChannelProfile(delays=d.astype(np.intp), powers=lin / lin.sum())
 
 
 def _complex_normal(shape, rng) -> np.ndarray:

@@ -63,7 +63,6 @@ def _parse(parse, text, where: str):
 OPTIONS = {
     "fft_size": ("--fft-size", int, None),
     "data_subcarriers": ("--data-subcarriers", int, None),
-    "cp_len": ("--cp-len", int, None),
     "ofdm_symbols": ("--symbols", int, "OFDM symbols per SNR point"),
     "policy": ("--policy", _policy, " | ".join(p.value for p in Policy)),
     # the word "auto" is resolved by _build_config

@@ -86,6 +86,7 @@ def power_pair_for(policy: Policy, high_factor: float) -> PowerPair:
     H exhausts the budget (no valid L) or when the implied L would not sit
     strictly below H (degenerate pair, threshold detection impossible).
     """
+    high_factor = float(high_factor)  # a float32 H squared in float32 misses the budget
     budget = policy.budget
     low_sq = budget - high_factor**2
     if low_sq <= 0.0:
@@ -99,7 +100,7 @@ def power_pair_for(policy: Policy, high_factor: float) -> PowerPair:
             f"degenerate pair: L={low!r} >= H={high_factor!r} "
             f"(need H^2 > budget/2 = {budget / 2.0!r})"
         )
-    return PowerPair(low=low, high=float(high_factor), budget=budget)
+    return PowerPair(low=low, high=high_factor, budget=budget)
 
 
 def map_bpsk(bits):
@@ -129,29 +130,23 @@ def detection_threshold(pair: PowerPair) -> float:
 
 @dataclass(frozen=True, eq=False)
 class SubcarrierLayout:
-    """Assignment of FFT bins to data and guard roles.
+    """Assignment of FFT bins to data; every other bin is a zero guard.
 
-    data_bins and guard_bins together cover all fft_size bins exactly once.
-    Bin k for k > fft_size/2 represents the negative frequency k - fft_size.
+    data_bins are distinct and lie in [0, fft_size). Bin k for
+    k > fft_size/2 represents the negative frequency k - fft_size.
     """
 
     fft_size: int
     data_bins: np.ndarray = field(repr=False)
-    guard_bins: np.ndarray = field(repr=False)
 
     def __post_init__(self):
         data = np.asarray(self.data_bins, dtype=np.intp)
-        guard = np.asarray(self.guard_bins, dtype=np.intp)
         object.__setattr__(self, "data_bins", data)
-        object.__setattr__(self, "guard_bins", guard)
         if self.fft_size < 1:
             raise ValueError(f"fft_size must be positive, got {self.fft_size}")
-        merged = np.concatenate([data, guard])
-        if merged.size != self.fft_size or np.unique(merged).size != self.fft_size:
-            raise ValueError(
-                "data and guard bins must partition the FFT bins exactly"
-            )
-        if merged.min() < 0 or merged.max() >= self.fft_size:
+        if np.unique(data).size != data.size:
+            raise ValueError("data bins must be distinct")
+        if np.any((data < 0) | (data >= self.fft_size)):
             raise ValueError("bin indices out of range")
 
     @property
@@ -160,12 +155,12 @@ class SubcarrierLayout:
         return int(self.data_bins.size)
 
 
-def default_layout(fft_size: int = 64, data_count: int = 52) -> SubcarrierLayout:
+def default_layout(fft_size: int, data_count: int) -> SubcarrierLayout:
     """Standard layout: DC null, remaining guards split around the band edge.
 
-    With the 64/52 default this nulls bin 0, the six uppermost positive
-    bins (27..32) and the five lowermost negative bins (33..37), leaving
-    data on bins +-1..+-26.
+    With 64/52 (SimConfig().layout()) this nulls bin 0, the six uppermost
+    positive bins (27..32) and the five lowermost negative bins (33..37),
+    leaving data on bins +-1..+-26.
     """
     if data_count < 1 or data_count > fft_size:
         raise ValueError(
@@ -181,6 +176,5 @@ def default_layout(fft_size: int = 64, data_count: int = 52) -> SubcarrierLayout
         half = fft_size // 2
         guard_bins.extend(range(half - upper + 1, half + 1))
         guard_bins.extend(range(half + 1, half + 1 + lower))
-    guard = np.array(sorted(guard_bins), dtype=np.intp)
-    data = np.setdiff1d(np.arange(fft_size, dtype=np.intp), guard)
-    return SubcarrierLayout(fft_size=fft_size, data_bins=data, guard_bins=guard)
+    data = np.setdiff1d(np.arange(fft_size, dtype=np.intp), guard_bins)
+    return SubcarrierLayout(fft_size=fft_size, data_bins=data)

@@ -52,8 +52,11 @@ def _linear_snr(snr_db: float) -> float:
 
 @dataclass(frozen=True)
 class SimConfig:
-    """Everything a sweep needs; validated on construction.
+    """The simulated system, validated on construction; layout(),
+    profile() and pair() derive from it.
 
+    The model assumes a cyclic prefix covering the delay spread, so none
+    is simulated; a multipath delay spread must fit the FFT.
     high_factor = None selects the reference operating point of the
     policy. The fft_size - data_subcarriers bins left over are guards.
     snr_convention picks how the x axis maps to the detector SNR, which
@@ -65,7 +68,6 @@ class SimConfig:
 
     fft_size: int = 64
     data_subcarriers: int = 52
-    cp_len: int = 16
     ofdm_symbols: int = 50_000
     policy: Policy = Policy.POWER_SAVING
     high_factor: float | None = None
@@ -95,8 +97,6 @@ class SimConfig:
             raise ValueError(f"fft_size must be a power of two >= 2, got {n}")
         if not 1 <= self.data_subcarriers <= n:
             raise ValueError(f"data_subcarriers out of range: {self.data_subcarriers}")
-        if not 0 <= self.cp_len < n:
-            raise ValueError(f"cp_len must be in [0, {n}), got {self.cp_len}")
         if self.ofdm_symbols < 1:
             raise ValueError("ofdm_symbols must be positive")
         if len(self.snr_db_grid) == 0:
@@ -121,12 +121,9 @@ class SimConfig:
         if self.master_seed < 0:
             raise ValueError("master_seed must be a nonnegative integer")
         if self.channel_mode == "multipath":
-            profile = self.profile()  # validates delays/powers
-            if self.cp_len < profile.max_delay:
-                raise ValueError(
-                    f"cp_len {self.cp_len} shorter than the channel delay "
-                    f"spread {profile.max_delay}; equalization would be invalid"
-                )
+            spread = self.profile().max_delay  # validates delays/powers
+            if spread >= n:
+                raise ValueError(f"delay spread {spread} does not fit an FFT of size {n}")
         self.pair()  # validates policy/high_factor feasibility
 
     def pair(self) -> PowerPair:
@@ -216,9 +213,9 @@ def _draws(cfg: SimConfig, snr_index: int, n0: float, streams: int):
     of shape (count, n), and the mask of bins whose gain is below
     rx.GAIN_FLOOR.
 
-    The cyclic prefix covers the delay spread (SimConfig enforces it), so
-    each data bin sees one complex gain H and zero forcing gives X + W / H,
-    W the unitary DFT of white noise. The points X are real and both
+    The model assumes a cyclic prefix covering the delay spread, so each
+    data bin sees one complex gain H and zero forcing gives X + W / H, W
+    the unitary DFT of white noise. The points X are real and both
     detectors read only the in-phase part, Re(W / H) = Re(W e^{-j arg H})
     / |H|, which given H is iid N(0, n0 / 2) / |H| (W is circularly
     symmetric): one real normal per data bin, with no transform.

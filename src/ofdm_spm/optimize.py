@@ -13,6 +13,8 @@ from .harness import SimConfig
 # stop the scan when H^2 comes within this margin of the budget: the
 # implied L would be numerically meaningless beyond it
 BUDGET_MARGIN = 1e-6
+# the longest walk scan_levels takes: a step that H absorbs never ends it
+MAX_CANDIDATES = 10**6
 
 
 def mean_ber_objective(cfg: SimConfig) -> Callable[[PowerPair], float]:
@@ -49,7 +51,8 @@ def scan_levels(
     """Walk H upward in fixed steps and return the objective's argmin.
 
     Candidates are power_pair_for(policy, H) for H = h_start +
-    k*h_step, k = 0, 1, ... while H^2 < budget - 1e-6. Steps whose implied
+    k*h_step, k = 0, 1, ... while H^2 < budget - 1e-6; a walk of more
+    than MAX_CANDIDATES steps is rejected up front. Steps whose implied
     L would not satisfy 0 < L < H are skipped (the low end of the walk can
     be infeasible under the larger budget); the scan fails only when no
     candidate at all is feasible. Ties resolve to the smaller H. The
@@ -61,6 +64,12 @@ def scan_levels(
     if objective is None:
         objective = mean_ber_objective(SimConfig(policy=policy))
     budget = policy.budget
+    walk = ((budget - BUDGET_MARGIN) ** 0.5 - h_start) / h_step
+    if walk > MAX_CANDIDATES:
+        raise ValueError(
+            f"h_step={h_step!r} from h_start={h_start!r} walks about {walk:.3g} "
+            f"candidates, more than the cap of {MAX_CANDIDATES}"
+        )
     pairs, values = [], []
     k = 0
     while True:

@@ -59,10 +59,11 @@ def total_crossings(snr: float, pair) -> float:
     return e1 + 0.5 * e2 - 0.5 * e4
 
 
-def time_domain_draws(cfg, snr_index: int, n0: float, streams: int, mapper):
+def time_domain_draws(cfg, snr_index: int, n0: float, streams: int, mapper, cp_len: int):
     """harness._draws the long way, on the same seeds and in the same draw order.
 
-    Each batch of points goes through the IFFT and cyclic prefix, the tap
+    Each batch of points goes through the IFFT and a cyclic prefix of
+    cp_len samples, which must cover the delay spread, the tap
     convolution (or the flat gains), AWGN of variance n0 per time sample,
     the FFT and zero forcing of signal plus noise. Yields (bits, equalized
     symbols, erased, gains). The complex symbols X + W / H already carry
@@ -73,7 +74,7 @@ def time_domain_draws(cfg, snr_index: int, n0: float, streams: int, mapper):
     samples do not.
     """
     layout = cfg.layout()
-    n, cp, block = layout.n, cfg.cp_len, cfg.coherence_block
+    n, block = layout.n, cfg.coherence_block
     profile = cfg.profile() if cfg.channel_mode == "multipath" else None
     for batch_index, count in _batch_plan(cfg.ofdm_symbols, cfg.batch_symbols, block):
         rng = _batch_rng(cfg.master_seed, snr_index, batch_index)
@@ -88,12 +89,12 @@ def time_domain_draws(cfg, snr_index: int, n0: float, streams: int, mapper):
             per_block = draw_flat_rayleigh(blocks * n, rng).reshape(blocks, n)
             gains = _expand_blocks(per_block, block, count)
             points = points * gains
-        x = ofdm_modulate(points, layout, cp)
+        x = ofdm_modulate(points, layout, cp_len)
         if profile is not None:
             taps = draw_taps(profile, blocks, rng)
             response = channel_frequency_response(taps, cfg.fft_size)[:, layout.data_bins]
             gains = _expand_blocks(response, block, count)
             x = apply_channel(x, _expand_blocks(taps, block, count))
         y = add_awgn(x, n0, rng)
-        symbols, erased = equalize_symbols(ofdm_demodulate(y, layout, cp), gains)
+        symbols, erased = equalize_symbols(ofdm_demodulate(y, layout, cp_len), gains)
         yield bits, symbols, erased, gains

@@ -5,11 +5,11 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from ofdm_spm import SimConfig
 from ofdm_spm.channel import (
     add_awgn,
     apply_channel,
     channel_frequency_response,
-    default_profile,
     draw_flat_rayleigh,
     draw_taps,
     make_profile,
@@ -18,9 +18,10 @@ from ofdm_spm.channel import (
 
 class TestProfile:
     def test_default_profile_values(self):
-        prof = default_profile()
+        cfg = SimConfig()
+        prof = cfg.profile()
+        assert cfg.powers_db == (0.0, -8.0, -17.0, -21.0, -25.0)
         np.testing.assert_array_equal(prof.delays, [0, 3, 5, 6, 8])
-        np.testing.assert_array_equal(prof.powers_db, [0.0, -8.0, -17.0, -21.0, -25.0])
         assert prof.max_delay == 8
         # Linear powers renormalized to unit total energy.
         np.testing.assert_allclose(
@@ -32,7 +33,7 @@ class TestProfile:
         # Relative dB spacings survive the normalization.
         np.testing.assert_allclose(
             prof.powers / prof.powers[0],
-            10.0 ** (prof.powers_db / 10.0),
+            10.0 ** (np.array(cfg.powers_db) / 10.0),
             rtol=1e-12,
         )
 
@@ -73,7 +74,7 @@ class TestProfile:
 
 class TestTaps:
     def test_shape_and_sparsity(self):
-        prof = default_profile()
+        prof = SimConfig().profile()
         taps = draw_taps(prof, 10, np.random.default_rng(0))
         assert taps.shape == (10, 9)
         assert taps.dtype == np.complex128
@@ -82,7 +83,7 @@ class TestTaps:
         assert taps[:, prof.delays].all()
 
     def test_mean_energy_is_unit(self):
-        prof = default_profile()
+        prof = SimConfig().profile()
         taps = draw_taps(prof, 100_000, np.random.default_rng(21))
         energy = np.sum(np.abs(taps) ** 2, axis=1)
         assert energy.mean() == pytest.approx(1.0, abs=0.01)
@@ -91,14 +92,14 @@ class TestTaps:
         np.testing.assert_allclose(per_tap, prof.powers, rtol=0.03)
 
     def test_deterministic_given_seed(self):
-        prof = default_profile()
+        prof = SimConfig().profile()
         a = draw_taps(prof, 5, np.random.default_rng(3))
         b = draw_taps(prof, 5, np.random.default_rng(3))
         np.testing.assert_array_equal(a, b)
 
     def test_count_validated(self):
         with pytest.raises(ValueError):
-            draw_taps(default_profile(), 0, np.random.default_rng(0))
+            draw_taps(SimConfig().profile(), 0, np.random.default_rng(0))
 
 
 class TestFrequencyResponse:
@@ -115,13 +116,13 @@ class TestFrequencyResponse:
 
     def test_mean_bin_energy_is_unit(self):
         # Unit-energy taps spread to E|H_k|^2 = 1 on every bin.
-        prof = default_profile()
+        prof = SimConfig().profile()
         taps = draw_taps(prof, 50_000, np.random.default_rng(22))
         h = channel_frequency_response(taps, 64)
         np.testing.assert_allclose(np.mean(np.abs(h) ** 2, axis=0), 1.0, atol=0.02)
 
     def test_batch_matches_single(self):
-        prof = default_profile()
+        prof = SimConfig().profile()
         taps = draw_taps(prof, 4, np.random.default_rng(23))
         h = channel_frequency_response(taps, 64)
         for i in range(4):
@@ -157,7 +158,7 @@ class TestApplyChannel:
     def test_batch_rows(self):
         rng = np.random.default_rng(33)
         x = rng.normal(size=(6, 40)) + 1j * rng.normal(size=(6, 40))
-        taps = draw_taps(default_profile(), 6, rng)
+        taps = draw_taps(SimConfig().profile(), 6, rng)
         y = apply_channel(x, taps)
         assert y.shape == (6, 40)
         for i in range(6):

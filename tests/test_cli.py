@@ -214,7 +214,7 @@ class TestSweep:
             assert proc.stderr.count("\n") == 1 and "unknown key" in proc.stderr
 
     def test_invalid_value_fails_cleanly(self, tmp_path):
-        proc = run_cli("sweep", "--seed", "0", "--cp-len", "7")
+        proc = run_cli("sweep", "--seed", "0", "--delays", "0,3,5,6,64")
         assert proc.returncode == 2
         assert "error:" in proc.stderr
         # a bad flag value gets the one-line error a config file gets
@@ -341,12 +341,17 @@ class TestOptimize:
         assert "objective=" in proc.stdout
 
     def test_nan_scan_step_fails_cleanly(self):
-        # a NaN H is never past the budget, so the walk would not end
-        for flag in ("--h-step", "--h-start"):
-            proc = run_cli("optimize", flag, "nan")
+        # a NaN H is never past the budget, and a step absorbed by H never
+        # reaches it, so the walk would not end
+        for flag, value, message in (
+            ("--h-step", "nan", "must be positive"),
+            ("--h-start", "nan", "must be positive"),
+            ("--h-step", "1e-300", "more than the cap"),
+        ):
+            proc = run_cli("optimize", flag, value)
             assert proc.returncode == 2, flag
             assert proc.stdout == ""
-            assert proc.stderr.count("\n") == 1 and "must be positive" in proc.stderr
+            assert proc.stderr.count("\n") == 1 and message in proc.stderr
 
     def test_bad_policy_rejected(self):
         proc = run_cli("optimize", "--policy", "psaving")
@@ -385,7 +390,6 @@ class TestOptimize:
 OPTION_SAMPLES = {
     "fft_size": "128",
     "data_subcarriers": "40",
-    "cp_len": "12",
     "ofdm_symbols": "10",
     "policy": "realloc_opt",
     "high_factor": "1.3",

@@ -8,6 +8,7 @@ import pytest
 from ofdm_spm import (
     Policy,
     PowerPair,
+    SubcarrierLayout,
     constellation_point,
     default_layout,
     detection_threshold,
@@ -125,13 +126,18 @@ class TestConstellation:
         assert np.mean(np.abs(pts) ** 2) == pytest.approx(2.0, rel=5e-3)
 
 
+def _guard_bins(lay):
+    """The bins a layout leaves empty: every bin that carries no data."""
+    return np.setdiff1d(np.arange(lay.fft_size), lay.data_bins)
+
+
 class TestLayout:
     def test_default_64_52(self):
-        lay = default_layout()
+        lay = default_layout(64, 52)
         assert lay.fft_size == 64
         assert lay.data_bins.size == 52
         np.testing.assert_array_equal(
-            np.sort(lay.guard_bins), [0, 27, 28, 29, 30, 31, 32, 33, 34, 35, 36, 37]
+            _guard_bins(lay), [0, 27, 28, 29, 30, 31, 32, 33, 34, 35, 36, 37]
         )
         np.testing.assert_array_equal(
             np.sort(lay.data_bins),
@@ -141,19 +147,20 @@ class TestLayout:
     @pytest.mark.parametrize("n,d", [(8, 3), (16, 10), (64, 52), (128, 100), (256, 200)])
     def test_partition(self, n, d):
         lay = default_layout(n, d)
-        assert 0 in lay.guard_bins
-        both = np.concatenate([lay.data_bins, lay.guard_bins])
+        assert lay.n == d
+        assert 0 in _guard_bins(lay)
+        both = np.concatenate([lay.data_bins, _guard_bins(lay)])
         np.testing.assert_array_equal(np.sort(both), np.arange(n))
 
     def test_guard_split_centered(self):
         # 8 guards besides DC: 4 ending at the band edge, 4 after it.
         lay = default_layout(32, 23)
-        guards = set(lay.guard_bins.tolist())
+        guards = set(_guard_bins(lay).tolist())
         assert guards == {0, 13, 14, 15, 16, 17, 18, 19, 20}
 
     def test_no_guards_uses_every_bin(self):
         lay = default_layout(8, 8)
-        assert lay.guard_bins.size == 0
+        assert _guard_bins(lay).size == 0
         np.testing.assert_array_equal(lay.data_bins, np.arange(8))
 
     def test_rejects_bad_counts(self):
@@ -161,3 +168,8 @@ class TestLayout:
             default_layout(64, 65)
         with pytest.raises(ValueError):
             default_layout(64, 0)
+
+    @pytest.mark.parametrize("bins", [[1, 1, 2], [0, 8], [-1, 3]])
+    def test_type_rejects_repeated_or_outside_bins(self, bins):
+        with pytest.raises(ValueError):
+            SubcarrierLayout(fft_size=8, data_bins=bins)

@@ -106,6 +106,8 @@ def _no_points(bits):
 
 # the worker count changes no draw
 DRAWN = [name for name in RUNS if name != "workers"]
+# the time-domain chain's cyclic prefix, covering the default 8-sample delay spread
+CP = 16
 # each statistic may sit this many of its standard errors from its value
 # under N(0, 1); 1.1 times the noise amplitude moves the second moment by
 # over 100 of them
@@ -121,7 +123,7 @@ def test_time_domain_noise_is_iid_standard_normal(name):
     z, neighbours = [], []
     for snr_index, snr_db in enumerate(cfg.snr_db_grid):
         n0 = cfg.noise_density(snr_db, pair)
-        draws = time_domain_draws(cfg, snr_index, n0, len(detectors), _no_points)
+        draws = time_domain_draws(cfg, snr_index, n0, len(detectors), _no_points, CP)
         for _, symbols, erased, gains in draws:
             assert not erased.any()
             scaled = symbols.real * np.abs(gains) / math.sqrt(n0 / 2.0)
@@ -156,7 +158,7 @@ def test_error_counts_match_the_time_domain_chain(name):
     design_effect = DESIGN_EFFECT[cfg.channel_mode]
     for snr_index, record in enumerate(sweep(cfg)):
         n0 = cfg.noise_density(record.snr_db, pair)
-        draws = time_domain_draws(cfg, snr_index, n0, len(detectors), mapper)
+        draws = time_domain_draws(cfg, snr_index, n0, len(detectors), mapper, CP)
         slow = harness._error_counts(((b, s, e) for b, s, e, _ in draws),
                                      lambda bits: 0.0, detectors)
         fast = [record.ber_power_sim, record.ber_bpsk_sim][-len(detectors):]

@@ -51,8 +51,6 @@ class TestConfigValidation:
             dict(data_subcarriers=0),
             dict(data_subcarriers=65),
             dict(powers_db=(0.0, math.inf, -17.0, -21.0, -25.0)),
-            dict(cp_len=64),
-            dict(cp_len=-1),
             dict(ofdm_symbols=0),
             dict(snr_db_grid=()),
             dict(channel_mode="awgn"),
@@ -72,12 +70,14 @@ class TestConfigValidation:
             dict(workers=1.5),
             dict(coherence_block=2.0),
             dict(fft_size=64.0),
-            dict(cp_len=True, channel_mode="flat"),
             dict(data_subcarriers=52.0),
             dict(snr_db_grid=(0.0, 4000.0)),
             dict(policy="saving"),
             dict(high_factor="auto"),
             dict(high_factor="1.3"),
+            dict(delays=(0, 3, 5, 6, 64)),
+            dict(fft_size=8, data_subcarriers=6),
+            dict(high_factor=np.float32(1.45)),
         ],
     )
     def test_rejects(self, kw):
@@ -96,15 +96,18 @@ class TestConfigValidation:
         cfg = SimConfig(ofdm_symbols=np.int64(10), master_seed=np.uint32(3))
         assert run_point(cfg, 10.0).bits_counted == 2 * 52 * 10
 
-    def test_cp_must_cover_delay_spread(self):
-        with pytest.raises(ValueError):
-            SimConfig(cp_len=7, channel_mode="multipath")
-        # Same cp is fine when the channel has no memory.
-        SimConfig(cp_len=7, channel_mode="flat")
+    def test_delay_spread_must_fit_the_fft(self):
+        too_long = dict(fft_size=8, data_subcarriers=6, delays=(0, 3, 5, 6, 8))
+        with pytest.raises(ValueError, match=r"^delay spread 8 does not fit an FFT of size 8$"):
+            SimConfig(**too_long, channel_mode="multipath")
+        # The same sizes are fine when the channel has no memory.
+        SimConfig(**too_long, channel_mode="flat")
 
     def test_default_high_factor_follows_policy(self):
         assert SimConfig(policy=Policy.REALLOC_OPTIMIZED).pair().high == 1.918
         assert SimConfig(policy=Policy.POWER_SAVING, high_factor=1.2).pair().high == 1.2
+        # a float32 H is squared as a float, so the pair still meets the budget
+        assert SimConfig(high_factor=np.float32(1.3)).pair().high == float(np.float32(1.3))
 
 
 class TestNoiseDensity:

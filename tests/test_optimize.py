@@ -50,8 +50,9 @@ class TestScanGrid:
             scan_levels(Policy.POWER_SAVING, h_step=0.0)
         with pytest.raises(ValueError):
             scan_levels(Policy.POWER_SAVING, h_start=-1.0)
-        # a NaN H never reaches the budget, so these must fail before the walk
-        for bad in (dict(h_step=float("nan")), dict(h_start=float("nan"))):
+        # a NaN H, or one that absorbs its tiny step, never reaches the
+        # budget, so these must fail before the walk
+        for bad in (dict(h_step=float("nan")), dict(h_start=float("nan")), dict(h_step=1e-300)):
             with pytest.raises(ValueError):
                 scan_levels(Policy.POWER_SAVING, **bad)
 

@@ -53,11 +53,9 @@ def link_fields(draw, channels=CHANNEL_MODES):
     widest = max(1, min(3, (fft_size - 1) // max(taps - 1, 1)))
     gaps = draw(st.lists(st.integers(1, widest), min_size=taps - 1, max_size=taps - 1))
     delays = tuple(sum(gaps[:i]) for i in range(taps))
-    cp_floor = delays[-1] if channel == "multipath" else 0
     return dict(
         fft_size=fft_size,
         data_subcarriers=draw(st.integers(1, fft_size)),
-        cp_len=draw(st.integers(cp_floor, fft_size - 1)),
         policy=policy,
         high_factor=high,
         channel_mode=channel,
@@ -83,13 +81,17 @@ def sim_configs(draw):
 
 @st.composite
 def short_links(draw, channels=CHANNEL_MODES):
-    """A valid link config over a few symbols, small enough to simulate."""
-    return SimConfig(
+    """A valid link config over a few symbols, small enough to simulate,
+    and a cyclic prefix for the time-domain chain: any length from the
+    delay spread (0 off multipath) to fft_size - 1."""
+    cfg = SimConfig(
         ofdm_symbols=draw(st.integers(1, 16)),
         coherence_block=draw(st.integers(1, 4)),
         batch_symbols=draw(st.integers(1, 8)),
         **draw(link_fields(channels)),
     )
+    spread = cfg.profile().max_delay if cfg.channel_mode == "multipath" else 0
+    return cfg, draw(st.integers(spread, cfg.fft_size - 1))
 
 
 def _config_text(cfg: SimConfig) -> str:
@@ -134,9 +136,10 @@ def test_batch_plan_tiles_the_symbols(total, batch, block):
 
 @FEW
 @given(short_links(channels=("multipath",)))
-def test_noiseless_loopback_has_no_errors(cfg):
+def test_noiseless_loopback_has_no_errors(link):
+    cfg, cp = link
     rng = np.random.default_rng(cfg.master_seed)
-    layout, pair, cp = cfg.layout(), cfg.pair(), cfg.cp_len
+    layout, pair = cfg.layout(), cfg.pair()
     bits = rng.integers(0, 2, size=(2, cfg.ofdm_symbols, layout.n), dtype=np.int8)
     taps = draw_taps(cfg.profile(), cfg.ofdm_symbols, rng)
     samples = ofdm_modulate(constellation_point(bits[0], bits[1], pair), layout, cp)
@@ -150,13 +153,14 @@ def test_noiseless_loopback_has_no_errors(cfg):
 
 @FEW
 @given(short_links())
-def test_frequency_domain_chain_matches_time_domain(cfg):
+def test_frequency_domain_chain_matches_time_domain(link):
     # the noise samples differ by design (test_golden checks their law);
     # with n0 = 0 both chains draw the same bits and erasures and give the
-    # points on every bin they keep
+    # points on every bin they keep, whatever prefix covers the spread
+    cfg, cp = link
     mapper, _ = harness._spm_link(cfg.pair())
     fast = list(harness._draws(cfg, 0, 0.0, 2))
-    slow = list(time_domain_draws(cfg, 0, 0.0, 2, mapper))
+    slow = list(time_domain_draws(cfg, 0, 0.0, 2, mapper, cp))
     assert len(fast) == len(slow)
     for (bits, noise, erased), (slow_bits, slow_symbols, slow_erased, _) in zip(fast, slow):
         np.testing.assert_array_equal(bits, slow_bits)

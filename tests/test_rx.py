@@ -7,6 +7,7 @@ import pytest
 
 from ofdm_spm import (
     Policy,
+    SimConfig,
     constellation_point,
     default_layout,
     detect_bpsk_bit,
@@ -21,7 +22,6 @@ from ofdm_spm.channel import (
     add_awgn,
     apply_channel,
     channel_frequency_response,
-    default_profile,
     draw_taps,
 )
 
@@ -41,7 +41,7 @@ def _receive(samples, gains, pair, lay, cp_len):
 
 class TestDemodulate:
     def test_round_trip(self):
-        lay = default_layout()
+        lay = default_layout(64, 52)
         pair = power_pair_for(Policy.POWER_SAVING, 1.35)
         bits = _random_bits(np.random.default_rng(80), 20)
         points = constellation_point(bits[0], bits[1], pair)
@@ -50,7 +50,7 @@ class TestDemodulate:
         np.testing.assert_allclose(back, points, atol=1e-12)
 
     def test_length_checked(self):
-        lay = default_layout()
+        lay = default_layout(64, 52)
         with pytest.raises(ValueError):
             ofdm_demodulate(np.zeros(70, dtype=complex), lay, 16)
         with pytest.raises(ValueError):
@@ -161,7 +161,7 @@ class TestFullReceiver:
         ],
     )
     def test_noiseless_identity_loopback(self, policy, factor):
-        lay = default_layout()
+        lay = default_layout(64, 52)
         pair = power_pair_for(policy, factor)
         bits = _random_bits(np.random.default_rng(88), 10)
         samples = ofdm_modulate(constellation_point(bits[0], bits[1], pair), lay, 16)
@@ -169,18 +169,18 @@ class TestFullReceiver:
 
     def test_noiseless_multipath_loopback(self):
         # CP covers the delay spread, so equalization is exact.
-        lay = default_layout()
+        lay = default_layout(64, 52)
         pair = power_pair_for(Policy.POWER_SAVING, 1.35)
         rng = np.random.default_rng(89)
         bits = _random_bits(rng, 10)
-        taps = draw_taps(default_profile(), 10, rng)
+        taps = draw_taps(SimConfig().profile(), 10, rng)
         samples = ofdm_modulate(constellation_point(bits[0], bits[1], pair), lay, 16)
         gains = channel_frequency_response(taps, 64)[:, lay.data_bins]
         out = _receive(apply_channel(samples, taps), gains, pair, lay, 16)
         np.testing.assert_array_equal(out, bits)
 
     def test_overwhelming_noise_gives_coin_flip_ber(self):
-        lay = default_layout()
+        lay = default_layout(64, 52)
         pair = power_pair_for(Policy.POWER_SAVING, 1.35)
         rng = np.random.default_rng(90)
         bits = _random_bits(rng, 2000)
