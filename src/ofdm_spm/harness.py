@@ -1,15 +1,18 @@
 """Monte-Carlo link simulation: configuration, per-point runs, sweeps, CSV.
 
 Reproducibility contract: every batch of symbols draws from its own RNG
-seeded by (master_seed, snr_index, batch_index), and batch boundaries
-depend only on the configuration. The per-point reduction sums integer
-error counts, so results are byte-identical across repeat runs and across
-worker counts.
+seeded by (master_seed, batch_index), and batch boundaries depend only on
+the configuration. Only the noise scale depends on the SNR, so each batch
+is drawn once and counted at every SNR point: simulate's point equals the
+sweep's row at that SNR. The reduction sums integer error counts in batch
+order, so results are byte-identical across repeat runs and across worker
+counts.
 """
 from __future__ import annotations
 
 import concurrent.futures
 import csv
+import functools
 import math
 import numbers
 import os
@@ -184,17 +187,12 @@ CSV_COLUMNS = tuple(f.name for f in fields(SweepRecord))
 def _batch_plan(total: int, batch: int, block: int):
     """Fixed batch boundaries: multiples of the coherence block, last short."""
     step = max(block, (batch // block) * block)
-    index = 0
-    done = 0
-    while done < total:
-        count = min(step, total - done)
-        yield index, count
-        index += 1
-        done += count
+    return [(index, min(step, total - start))
+            for index, start in enumerate(range(0, total, step))]
 
 
-def _batch_rng(master_seed: int, snr_index: int, batch_index: int):
-    seq = np.random.SeedSequence([int(master_seed), int(snr_index), int(batch_index)])
+def _batch_rng(master_seed: int, batch_index: int):
+    seq = np.random.SeedSequence([int(master_seed), int(batch_index)])
     return np.random.default_rng(seq)
 
 
@@ -205,68 +203,54 @@ def _expand_blocks(per_block, block: int, count: int):
     return np.repeat(per_block, block, axis=0)[:count]
 
 
-def _draws(cfg: SimConfig, snr_index: int, n0: float, streams: int):
-    """Draw the random part of one SNR point, batch by batch.
+def _draws(cfg: SimConfig, streams: int, batch):
+    """Draw one batch of a run's random part, which every SNR point shares.
 
-    Yields (bits, noise, erased) per batch: bits of shape (count, streams,
-    n), the in-phase zero-forced noise Re(W / H) of the data bins, float64
-    of shape (count, n), and the mask of bins whose gain is below
-    rx.GAIN_FLOOR.
+    batch is an (index, count) of _batch_plan. Returns (bits, z, erased):
+    bits of shape (count, streams, n), the unit in-phase zero-forced noise
+    z = N(0, 1) / |H| of the data bins, float64 of shape (count, n), and
+    the mask of bins whose gain is below rx.GAIN_FLOOR.
 
     The model assumes a cyclic prefix covering the delay spread, so each
     data bin sees one complex gain H and zero forcing gives X + W / H, W
     the unitary DFT of white noise. The points X are real and both
     detectors read only the in-phase part, Re(W / H) = Re(W e^{-j arg H})
     / |H|, which given H is iid N(0, n0 / 2) / |H| (W is circularly
-    symmetric): one real normal per data bin, with no transform.
-    _error_counts adds the points. The tests check this against the
-    public time-domain chain (ofdm_modulate, apply_channel, add_awgn,
-    ofdm_demodulate, equalize_symbols): the same bits, fading and
-    erasures, and the same noise law.
+    symmetric): sqrt(n0 / 2) z, one real normal per data bin, with no
+    transform. The noise density n0 is the only part of a run that depends
+    on the SNR; _error_counts scales z by it and adds the points. The
+    tests check this against the public time-domain chain (ofdm_modulate,
+    apply_channel, add_awgn, ofdm_demodulate, equalize_symbols): the same
+    bits, fading and erasures, and the same noise law.
     """
+    batch_index, count = batch
     layout = cfg.layout()
     n, block = layout.n, cfg.coherence_block
-    profile = cfg.profile() if cfg.channel_mode == "multipath" else None
-    for batch_index, count in _batch_plan(cfg.ofdm_symbols, cfg.batch_symbols, block):
-        rng = _batch_rng(cfg.master_seed, snr_index, batch_index)
-        # draw order is part of the determinism contract: bits, fading, noise
-        bits = rng.integers(0, 2, size=(count, streams * n), dtype=np.int8)
-        bits = bits.reshape(count, streams, n)
-        blocks = -(-count // block)
-        gains = 1.0
-        if cfg.channel_mode == "flat":
-            per_block = draw_flat_rayleigh(blocks * n, rng).reshape(blocks, n)
-            gains = _expand_blocks(per_block, block, count)
-        elif profile is not None:
-            taps = draw_taps(profile, blocks, rng)
-            response = channel_frequency_response(taps, cfg.fft_size)[:, layout.data_bins]
-            gains = _expand_blocks(response, block, count)
-        noise = rng.standard_normal((count, n))
-        noise *= math.sqrt(n0 / 2.0)
-        magnitude = np.abs(gains)
-        erased = magnitude < rx.GAIN_FLOOR  # read at call time; tests move the floor
-        np.divide(noise, magnitude, out=noise, where=~erased)
-        yield bits, noise, erased
+    rng = _batch_rng(cfg.master_seed, batch_index)
+    # draw order is part of the determinism contract: bits, fading, noise
+    bits = rng.integers(0, 2, size=(count, streams * n), dtype=np.int8)
+    bits = bits.reshape(count, streams, n)
+    blocks = -(-count // block)
+    gains = 1.0
+    if cfg.channel_mode == "flat":
+        per_block = draw_flat_rayleigh(blocks * n, rng).reshape(blocks, n)
+        gains = _expand_blocks(per_block, block, count)
+    elif cfg.channel_mode == "multipath":
+        taps = draw_taps(cfg.profile(), blocks, rng)
+        response = channel_frequency_response(taps, cfg.fft_size)[:, layout.data_bins]
+        gains = _expand_blocks(response, block, count)
+    z = rng.standard_normal((count, n))
+    magnitude = np.abs(gains)
+    erased = magnitude < rx.GAIN_FLOOR  # read at call time; tests move the floor
+    np.divide(z, magnitude, out=z, where=~erased)
+    return bits, z, erased
 
 
-def _error_counts(batches, mapper, detectors) -> list[int]:
-    """Decision errors of each stream over (bits, noise, erased) batches.
-
-    A batch's decision statistic is mapper(bits) + noise, with erased bins
-    forced to 0, which the detectors decode as (0, 0).
-    """
-    errors = [0] * len(detectors)
-    for bits, noise, erased in batches:
-        symbols = mapper(bits) + noise
-        symbols[erased] = 0.0
-        for stream, detect in enumerate(detectors):
-            errors[stream] += int(np.count_nonzero(detect(symbols) != bits[:, stream]))
-        del symbols  # free it before the next batch is drawn
-    return errors
-
-
-def _spm_link(pair: PowerPair):
-    """OFDM-SPM mapper and the (power, BPSK) detectors for one pair."""
+def _link(pair: PowerPair | None):
+    """Mapper and detectors: OFDM-SPM's (power, BPSK) for a pair, plain
+    BPSK's one for None."""
+    if pair is None:
+        return lambda bits: map_bpsk(bits[:, 0]), (detect_bpsk_bit,)
     threshold = detection_threshold(pair)
     return (
         lambda bits: constellation_point(bits[:, 0], bits[:, 1], pair),
@@ -274,107 +258,113 @@ def _spm_link(pair: PowerPair):
     )
 
 
-def run_point(cfg: SimConfig, snr_db: float, snr_index: int = 0) -> SweepRecord:
-    """Simulate one OFDM-SPM operating point.
+def _error_counts(batch, sigmas, mapper, detectors) -> list[list[int]]:
+    """Decision errors [scale][stream] of one (bits, z, erased) batch.
 
-    snr_index is the point's position in the sweep grid; it enters the
-    batch seed derivation, so standalone calls default to 0.
+    At noise scale sigma the decision statistic is mapper(bits) + sigma *
+    z, with erased bins forced to 0, which the detectors decode as (0, 0).
     """
-    pair = cfg.pair()
-    n0 = cfg.noise_density(snr_db, pair)
-    bits_per_stream = cfg.data_subcarriers * cfg.ofdm_symbols
-    errors = _error_counts(_draws(cfg, snr_index, n0, 2), *_spm_link(pair))
-    ber_power_sim, ber_bpsk_sim = (e / bits_per_stream for e in errors)
-    breakdown = ber_breakdown(cfg.detector_snr(snr_db, pair), pair)
-    return SweepRecord(
-        snr_db=float(snr_db),
-        ber_power_sim=ber_power_sim,
-        ber_bpsk_sim=ber_bpsk_sim,
-        ber_total_sim=0.5 * (ber_power_sim + ber_bpsk_sim),
-        ber_power_theory=breakdown.ber_power,
-        ber_bpsk_theory=breakdown.ber_bpsk,
-        ber_total_theory=breakdown.ber_total,
-        throughput=throughput(ber_power_sim, ber_bpsk_sim),
-        bits_counted=2 * bits_per_stream,
-        seed=cfg.master_seed,
-    )
+    bits, z, erased = batch
+    points = mapper(bits)
+    errors = []
+    for sigma in sigmas:
+        symbols = points + sigma * z
+        symbols[erased] = 0.0
+        errors.append([int(np.count_nonzero(detect(symbols) != bits[:, stream]))
+                       for stream, detect in enumerate(detectors)])
+    return errors
 
 
-def run_baseline_point(cfg: SimConfig, snr_db: float, snr_index: int = 0) -> SweepRecord:
-    """Simulate plain OFDM-BPSK (one bit per subcarrier, unit energy)."""
-    n0 = cfg.noise_density(snr_db, None)
-    (errors,) = _error_counts(
-        _draws(cfg, snr_index, n0, 1), lambda bits: map_bpsk(bits[:, 0]), (detect_bpsk_bit,)
-    )
-    ber_bpsk_sim = errors / (cfg.data_subcarriers * cfg.ofdm_symbols)
-    theory = rayleigh_bpsk_ber(cfg.detector_snr(snr_db, None))
-    return SweepRecord(
-        snr_db=float(snr_db),
-        ber_power_sim=math.nan,
-        ber_bpsk_sim=ber_bpsk_sim,
-        ber_total_sim=ber_bpsk_sim,
-        ber_power_theory=math.nan,
-        ber_bpsk_theory=theory,
-        ber_total_theory=theory,
-        throughput=1.0 - ber_bpsk_sim,
-        bits_counted=cfg.data_subcarriers * cfg.ofdm_symbols,
-        seed=cfg.master_seed,
-    )
+def _sigmas(cfg: SimConfig, grid, pair: PowerPair | None) -> list[float]:
+    """Noise scale sqrt(n0 / 2) at each SNR; rejects -inf before any draw."""
+    return [math.sqrt(cfg.noise_density(snr_db, pair) / 2.0) for snr_db in grid]
 
 
-def _sweep(cfg: SimConfig, point_fn) -> list[SweepRecord]:
-    for snr_db in cfg.snr_db_grid:
-        cfg.noise_density(snr_db, None)  # reject -inf before any point runs
-    points = list(enumerate(cfg.snr_db_grid))
-    workers = min(cfg.workers, len(points))  # a pool starts all its workers at once
+def _map_batches(cfg: SimConfig, fn) -> list:
+    """fn of each batch of cfg, in batch order, over cfg.workers processes."""
+    batches = _batch_plan(cfg.ofdm_symbols, cfg.batch_symbols, cfg.coherence_block)
+    workers = min(cfg.workers, len(batches))  # a pool starts all its workers at once
     if workers > 1:
         with concurrent.futures.ProcessPoolExecutor(max_workers=workers) as pool:
-            futures = [pool.submit(point_fn, cfg, s, i) for i, s in points]
+            futures = [pool.submit(fn, batch) for batch in batches]
             return [f.result() for f in futures]
-    return [point_fn(cfg, s, i) for i, s in points]
+    return [fn(batch) for batch in batches]
+
+
+def _batch_errors(cfg: SimConfig, pair: PowerPair | None, sigmas, batch):
+    mapper, detectors = _link(pair)
+    return _error_counts(_draws(cfg, len(detectors), batch), sigmas, mapper, detectors)
+
+
+def _records(cfg: SimConfig, grid, pair: PowerPair | None) -> list[SweepRecord]:
+    """Simulate OFDM-SPM at pair, or plain OFDM-BPSK (one bit per
+    subcarrier, unit energy) for None, at every SNR of grid on one draw.
+
+    Each batch is drawn once and counted at every SNR; the parent sums the
+    integer counts in batch order.
+    """
+    sigmas = _sigmas(cfg, grid, pair)
+    batches = _map_batches(cfg, functools.partial(_batch_errors, cfg, pair, sigmas))
+    bits_per_stream = cfg.data_subcarriers * cfg.ofdm_symbols
+    records = []
+    for snr_db, errors in zip(grid, np.sum(batches, axis=0).tolist()):
+        snr = cfg.detector_snr(snr_db, pair)
+        if pair is None:
+            (bpsk,) = (e / bits_per_stream for e in errors)
+            theory = rayleigh_bpsk_ber(snr)
+            rates = (math.nan, bpsk, bpsk, math.nan, theory, theory, 1.0 - bpsk)
+        else:
+            power, bpsk = (e / bits_per_stream for e in errors)
+            bd = ber_breakdown(snr, pair)
+            rates = (power, bpsk, 0.5 * (power + bpsk), bd.ber_power, bd.ber_bpsk,
+                     bd.ber_total, throughput(power, bpsk))
+        records.append(SweepRecord(float(snr_db), *rates, len(errors) * bits_per_stream,
+                                   cfg.master_seed))
+    return records
+
+
+def run_point(cfg: SimConfig, snr_db: float) -> SweepRecord:
+    """Simulate one OFDM-SPM operating point: run_sweep's row at snr_db."""
+    return _records(cfg, (snr_db,), cfg.pair())[0]
+
+
+def run_baseline_point(cfg: SimConfig, snr_db: float) -> SweepRecord:
+    """Simulate plain OFDM-BPSK at one point: run_baseline_ofdm_bpsk's row."""
+    return _records(cfg, (snr_db,), None)[0]
 
 
 def run_sweep(cfg: SimConfig) -> list[SweepRecord]:
     """Simulate every point of cfg.snr_db_grid, in grid order."""
-    return _sweep(cfg, run_point)
+    return _records(cfg, cfg.snr_db_grid, cfg.pair())
 
 
 def run_baseline_ofdm_bpsk(cfg: SimConfig) -> list[SweepRecord]:
-    """Baseline sweep over the same grid and seeds as run_sweep."""
-    return _sweep(cfg, run_baseline_point)
-
-
-def _noise_draw(cfg: SimConfig, snr_db: float, snr_index: int):
-    """The batches of one SNR point as the level scan keeps them: _draws'
-    (bits, in-phase noise, erased) as drawn, which serve every candidate."""
-    n0 = cfg.noise_density(snr_db, cfg.pair())  # depends on the policy budget only
-    return list(_draws(cfg, snr_index, n0, 2))
+    """Baseline sweep over the same grid and draws as run_sweep."""
+    return _records(cfg, cfg.snr_db_grid, None)
 
 
 def monte_carlo_objective(cfg: SimConfig):
     """Objective factory for scan_levels: mean simulated ber_total.
 
-    Every candidate pair is evaluated with the same seeds (common random
+    Every candidate pair is evaluated on the same draws (common random
     numbers), which makes comparisons between candidates much tighter than
-    the per-point noise level and keeps the scan deterministic. The draws
-    are made once per (SNR point, batch), when the factory is called, with
-    the SNR points spread over cfg.workers processes (one pool, if any).
-    Each candidate is then a detection pass over the stored draws, through
-    the _error_counts run_sweep uses, so it scores the rates run_sweep
-    gives at that candidate's H. The draws hold 2 int8 bits, the float64
-    in-phase noise and one erasure flag per data subcarrier and symbol,
-    11 bytes, at every SNR point.
+    the per-point noise level and keeps the scan deterministic. The batches
+    are drawn once for the whole grid, when the factory is called, spread
+    over cfg.workers processes (one pool, if any). Each candidate is then a
+    detection pass over the stored draws at every SNR, through the
+    _error_counts run_sweep uses, so it scores the rates run_sweep gives at
+    that candidate's H. The draws hold 2 int8 bits, the float64 unit noise
+    and one erasure flag per data subcarrier and symbol, 11 bytes.
     """
-    draws = _sweep(cfg, _noise_draw)
+    sigmas = _sigmas(cfg, cfg.snr_db_grid, cfg.pair())  # depends on the policy budget only
+    draws = _map_batches(cfg, functools.partial(_draws, cfg, 2))
     bits_per_stream = cfg.data_subcarriers * cfg.ofdm_symbols
 
     def objective(pair: PowerPair) -> float:
-        mapper, detectors = _spm_link(pair)
-        totals = []
-        for batches in draws:
-            e_power, e_bpsk = _error_counts(batches, mapper, detectors)
-            totals.append(0.5 * (e_power / bits_per_stream + e_bpsk / bits_per_stream))
-        return float(np.mean(totals))
+        link = _link(pair)
+        errors = np.sum([_error_counts(batch, sigmas, *link) for batch in draws], axis=0)
+        return float(np.mean([0.5 * (p / bits_per_stream + b / bits_per_stream)
+                              for p, b in errors.tolist()]))
 
     return objective
 

@@ -42,6 +42,19 @@ class ScanResult:
     trace_objective: np.ndarray = field(repr=False)
 
 
+def check_walk(policy: Policy, h_start: float, h_step: float) -> None:
+    """Reject a scan_levels walk that would not end or would take more
+    than MAX_CANDIDATES steps, before any objective is built."""
+    if not (h_start > 0 and h_step > 0):  # NaN fails too: it would never end the walk
+        raise ValueError(f"h_start and h_step must be positive, got {h_start!r}, {h_step!r}")
+    walk = ((policy.budget - BUDGET_MARGIN) ** 0.5 - h_start) / h_step
+    if walk > MAX_CANDIDATES:
+        raise ValueError(
+            f"h_step={h_step!r} from h_start={h_start!r} walks about {walk:.3g} "
+            f"candidates, more than the cap of {MAX_CANDIDATES}"
+        )
+
+
 def scan_levels(
     policy: Policy,
     objective: Callable[[PowerPair], float] | None = None,
@@ -51,25 +64,18 @@ def scan_levels(
     """Walk H upward in fixed steps and return the objective's argmin.
 
     Candidates are power_pair_for(policy, H) for H = h_start +
-    k*h_step, k = 0, 1, ... while H^2 < budget - 1e-6; a walk of more
-    than MAX_CANDIDATES steps is rejected up front. Steps whose implied
-    L would not satisfy 0 < L < H are skipped (the low end of the walk can
-    be infeasible under the larger budget); the scan fails only when no
-    candidate at all is feasible. Ties resolve to the smaller H. The
+    k*h_step, k = 0, 1, ... while H^2 < budget - 1e-6; check_walk rejects
+    a bad walk up front. Steps whose implied L would not satisfy 0 < L < H
+    are skipped (the low end of the walk can be infeasible under the
+    larger budget); the scan fails only when no candidate at all is
+    feasible. Ties resolve to the smaller H. The
     default objective is mean_ber_objective over SimConfig's default grid;
     it is deterministic (closed form), so the result is too.
     """
-    if not (h_start > 0 and h_step > 0):  # NaN fails too: it would never end the walk
-        raise ValueError(f"h_start and h_step must be positive, got {h_start!r}, {h_step!r}")
+    check_walk(policy, h_start, h_step)
     if objective is None:
         objective = mean_ber_objective(SimConfig(policy=policy))
     budget = policy.budget
-    walk = ((budget - BUDGET_MARGIN) ** 0.5 - h_start) / h_step
-    if walk > MAX_CANDIDATES:
-        raise ValueError(
-            f"h_step={h_step!r} from h_start={h_start!r} walks about {walk:.3g} "
-            f"candidates, more than the cap of {MAX_CANDIDATES}"
-        )
     pairs, values = [], []
     k = 0
     while True:

@@ -59,8 +59,9 @@ def total_crossings(snr: float, pair) -> float:
     return e1 + 0.5 * e2 - 0.5 * e4
 
 
-def time_domain_draws(cfg, snr_index: int, n0: float, streams: int, mapper, cp_len: int):
-    """harness._draws the long way, on the same seeds and in the same draw order.
+def time_domain_draws(cfg, n0: float, streams: int, mapper, cp_len: int):
+    """harness._draws the long way, batch by batch, on the same seeds and
+    in the same draw order.
 
     Each batch of points goes through the IFFT and a cyclic prefix of
     cp_len samples, which must cover the delay spread, the tap
@@ -68,16 +69,16 @@ def time_domain_draws(cfg, snr_index: int, n0: float, streams: int, mapper, cp_l
     the FFT and zero forcing of signal plus noise. Yields (bits, equalized
     symbols, erased, gains). The complex symbols X + W / H already carry
     the points, so harness._error_counts scores (bits, symbols, erased)
-    with a mapper that adds 0. gains are the data-bin responses H, or the
-    scalar 1.0 on the identity channel. The bits, gains and erasures come
-    from the same seeds and draw order as harness._draws; the noise
-    samples do not.
+    at scale 1 with a mapper that adds 0. gains are the data-bin
+    responses H, or the scalar 1.0 on the identity channel. The bits,
+    gains and erasures come from the same seeds and draw order as
+    harness._draws; the noise samples do not.
     """
     layout = cfg.layout()
     n, block = layout.n, cfg.coherence_block
     profile = cfg.profile() if cfg.channel_mode == "multipath" else None
     for batch_index, count in _batch_plan(cfg.ofdm_symbols, cfg.batch_symbols, block):
-        rng = _batch_rng(cfg.master_seed, snr_index, batch_index)
+        rng = _batch_rng(cfg.master_seed, batch_index)
         bits = rng.integers(0, 2, size=(count, streams * n), dtype=np.int8)
         bits = bits.reshape(count, streams, n)
         points = mapper(bits)

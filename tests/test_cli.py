@@ -25,6 +25,7 @@ from ofdm_spm import (
     scan_levels,
     write_csv,
 )
+from ofdm_spm import cli
 from ofdm_spm.cli import OPTIONS, THEORY_COLUMNS, _build_config, _build_parser, main
 from ofdm_spm.harness import CSV_COLUMNS
 
@@ -158,6 +159,34 @@ class TestSimulate:
         assert float(rec["ber_total_sim"]) == 0.0
         assert float(rec["throughput"]) == 2.0
         assert int(rec["bits_counted"]) == 2 * 52 * 200
+
+
+    def test_equals_the_sweep_row(self, tmp_path):
+        # every SNR point of a sweep is counted on the same draw, so a
+        # point is the sweep's row at its SNR, byte for byte
+        point, sweep = tmp_path / "point.csv", tmp_path / "sweep.csv"
+        common = ["--seed", "1", "--symbols", "200"]
+        assert run_cli("simulate", "--snr", "10", *common, "--out", str(point)).returncode == 0
+        assert run_cli("sweep", *common, "--out", str(sweep)).returncode == 0
+        (row,) = point.read_bytes().splitlines()[1:]
+        rows = sweep.read_bytes().splitlines()[1:]
+        assert SimConfig().snr_db_grid[2] == 10.0 and row == rows[2]
+
+
+class TestWorkers:
+    @pytest.mark.parametrize("command", ["sweep", "baseline", "simulate"])
+    def test_csv_bytes_do_not_depend_on_the_worker_count(self, command, tmp_path):
+        # 700 symbols in batches of 128 is six batches for up to 3 workers
+        argv = [command, "--seed", "9", "--symbols", "700", "--batch-symbols", "128",
+                "--coherence-block", "4", "--snr-grid", "0,10,20"]
+        if command == "simulate":
+            argv += ["--snr", "10"]
+        outputs = []
+        for workers in (1, 2, 3):
+            out = tmp_path / f"{workers}.csv"
+            assert main([*argv, "--workers", str(workers), "--out", str(out)]) == 0
+            outputs.append(out.read_bytes())
+        assert outputs[1] == outputs[0] and outputs[2] == outputs[0]
 
 
 class TestSweep:
@@ -352,6 +381,15 @@ class TestOptimize:
             assert proc.returncode == 2, flag
             assert proc.stdout == ""
             assert proc.stderr.count("\n") == 1 and message in proc.stderr
+
+    @pytest.mark.parametrize("step", ["nan", "0", "1e-300"])
+    def test_bad_step_fails_before_the_draws(self, step, monkeypatch, capsys):
+        drawn = []
+        monkeypatch.setattr(cli, "monte_carlo_objective", drawn.append)
+        argv = ["optimize", "--objective", "monte_carlo", "--seed", "1", "--h-step", step]
+        assert main(argv) == 2
+        assert drawn == []
+        assert capsys.readouterr().err.count("\n") == 1
 
     def test_bad_policy_rejected(self):
         proc = run_cli("optimize", "--policy", "psaving")

@@ -30,8 +30,6 @@ from conftest import time_domain_draws
 from ofdm_spm import (
     Policy,
     SimConfig,
-    detect_bpsk_bit,
-    map_bpsk,
     run_baseline_ofdm_bpsk,
     run_sweep,
     write_csv,
@@ -93,11 +91,9 @@ def test_csv_digest(name):
     assert _digest(overrides, sweep) == expected
 
 
-def _link(sweep, cfg):
-    """(pair, mapper, detectors) of the sweep; the baseline has no pair."""
-    if sweep is run_sweep:
-        return (cfg.pair(), *harness._spm_link(cfg.pair()))
-    return None, lambda bits: map_bpsk(bits[:, 0]), (detect_bpsk_bit,)
+def _pair(sweep, cfg):
+    """The sweep's pair; the baseline has none."""
+    return cfg.pair() if sweep is run_sweep else None
 
 
 def _no_points(bits):
@@ -110,33 +106,34 @@ DRAWN = [name for name in RUNS if name != "workers"]
 CP = 16
 # each statistic may sit this many of its standard errors from its value
 # under N(0, 1); 1.1 times the noise amplitude moves the second moment by
-# over 100 of them
+# over 50 of them
 Z = 5.0
 
 
 @pytest.mark.parametrize("name", DRAWN)
 def test_time_domain_noise_is_iid_standard_normal(name):
-    # Re(W / H) |H| / sqrt(n0 / 2) on every data bin of every point
+    # Re(W / H) |H| / sqrt(n0 / 2) on every data bin, at every point; the
+    # points scale one draw, so each is checked on its own
     overrides, sweep, _ = RUNS[name]
     cfg = _config(overrides)
-    pair, _, detectors = _link(sweep, cfg)
-    z, neighbours = [], []
-    for snr_index, snr_db in enumerate(cfg.snr_db_grid):
+    pair = _pair(sweep, cfg)
+    streams = len(harness._link(pair)[1])
+    for snr_db in cfg.snr_db_grid:
         n0 = cfg.noise_density(snr_db, pair)
-        draws = time_domain_draws(cfg, snr_index, n0, len(detectors), _no_points, CP)
-        for _, symbols, erased, gains in draws:
+        z, neighbours = [], []
+        for _, symbols, erased, gains in time_domain_draws(cfg, n0, streams, _no_points, CP):
             assert not erased.any()
             scaled = symbols.real * np.abs(gains) / math.sqrt(n0 / 2.0)
             z.append(scaled.ravel())
             neighbours.append((scaled[:, :-1] * scaled[:, 1:]).ravel())
-    z, neighbours = np.concatenate(z), np.concatenate(neighbours)
-    size = z.size
-    assert abs(z.mean()) <= Z / math.sqrt(size)
-    assert abs(np.mean(z**2) - 1.0) <= Z * math.sqrt(2.0 / size)
-    tail = math.erfc(math.sqrt(2.0))  # P(|z| > 2)
-    assert abs(np.mean(np.abs(z) > 2.0) - tail) <= Z * math.sqrt(tail * (1 - tail) / size)
-    # adjacent data bins: E[z_k z_k+1] = 0 with unit variance
-    assert abs(neighbours.mean()) <= Z / math.sqrt(neighbours.size)
+        z, neighbours = np.concatenate(z), np.concatenate(neighbours)
+        size = z.size
+        assert abs(z.mean()) <= Z / math.sqrt(size)
+        assert abs(np.mean(z**2) - 1.0) <= Z * math.sqrt(2.0 / size)
+        tail = math.erfc(math.sqrt(2.0))  # P(|z| > 2)
+        assert abs(np.mean(np.abs(z) > 2.0) - tail) <= Z * math.sqrt(tail * (1 - tail) / size)
+        # adjacent data bins: E[z_k z_k+1] = 0 with unit variance
+        assert abs(neighbours.mean()) <= Z / math.sqrt(neighbours.size)
 
 
 # the engine comparison runs the golden configs at this many symbols
@@ -153,14 +150,15 @@ def test_error_counts_match_the_time_domain_chain(name):
     # each stream's simulated BER within Z sigma of the time-domain chain's
     overrides, sweep, _ = RUNS[name]
     cfg = dataclasses.replace(_config(overrides), ofdm_symbols=ENGINE_SYMBOLS)
-    pair, mapper, detectors = _link(sweep, cfg)
+    pair = _pair(sweep, cfg)
+    mapper, detectors = harness._link(pair)
     bits = cfg.data_subcarriers * cfg.ofdm_symbols
     design_effect = DESIGN_EFFECT[cfg.channel_mode]
-    for snr_index, record in enumerate(sweep(cfg)):
+    for record in sweep(cfg):
         n0 = cfg.noise_density(record.snr_db, pair)
-        draws = time_domain_draws(cfg, snr_index, n0, len(detectors), mapper, CP)
-        slow = harness._error_counts(((b, s, e) for b, s, e, _ in draws),
-                                     lambda bits: 0.0, detectors)
+        draws = time_domain_draws(cfg, n0, len(detectors), mapper, CP)
+        slow = np.sum([harness._error_counts((b, s, e), [1.0], lambda bits: 0.0, detectors)[0]
+                       for b, s, e, _ in draws], axis=0).tolist()
         fast = [record.ber_power_sim, record.ber_bpsk_sim][-len(detectors):]
         for rate, errors in zip(fast, slow):
             mean = 0.5 * (rate + errors / bits)

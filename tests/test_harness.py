@@ -26,6 +26,7 @@ from ofdm_spm import (
     write_csv,
 )
 from ofdm_spm import harness, rx
+from ofdm_spm.harness import CHANNEL_MODES
 
 INF = float("inf")
 
@@ -202,28 +203,27 @@ class TestDeterminism:
         b = run_point(cfg, 10.0)
         assert a == b
 
-    def test_snr_index_changes_stream(self):
-        cfg = _tiny(channel_mode="flat", ofdm_symbols=1000)
-        a = run_point(cfg, 10.0, snr_index=0)
-        b = run_point(cfg, 10.0, snr_index=1)
-        assert a.ber_total_sim != b.ber_total_sim
-
     def test_seed_changes_stream(self):
         a = run_point(_tiny(channel_mode="flat", ofdm_symbols=1000, master_seed=1), 10.0)
         b = run_point(_tiny(channel_mode="flat", ofdm_symbols=1000, master_seed=2), 10.0)
         assert a.ber_total_sim != b.ber_total_sim
 
-    def test_sweep_matches_individual_points(self):
-        cfg = _tiny(channel_mode="flat", ofdm_symbols=600, snr_db_grid=(5.0, 10.0, 15.0))
-        recs = run_sweep(cfg)
-        assert [r.snr_db for r in recs] == [5.0, 10.0, 15.0]
-        for i, (s, rec) in enumerate(zip(cfg.snr_db_grid, recs)):
-            assert rec == run_point(cfg, s, snr_index=i)
+    @pytest.mark.parametrize("channel_mode", CHANNEL_MODES)
+    def test_point_equals_its_sweep_row(self, channel_mode):
+        # every point shares each batch's draw, so a point is its sweep row
+        cfg = _tiny(channel_mode=channel_mode, ofdm_symbols=600, batch_symbols=256,
+                    snr_db_grid=(5.0, 10.0, 15.0, INF), master_seed=3)
+        sweep, baseline = run_sweep(cfg), run_baseline_ofdm_bpsk(cfg)
+        assert [r.snr_db for r in sweep] == [5.0, 10.0, 15.0, INF]
+        for i, s in enumerate(cfg.snr_db_grid):
+            assert run_point(cfg, s) == sweep[i]
+            assert run_baseline_point(cfg, s) == baseline[i]  # the NaN cells are math.nan
 
     def test_worker_count_does_not_change_results(self):
         small = dict(
             channel_mode="flat",
             ofdm_symbols=400,
+            batch_symbols=128,
             snr_db_grid=(5.0, 15.0),
             master_seed=9,
         )
@@ -231,8 +231,8 @@ class TestDeterminism:
         parallel = run_sweep(SimConfig(workers=2, **small))
         assert serial == parallel
 
-    @pytest.mark.parametrize("grid, started", [((5.0, 15.0), [2]), ((5.0,), [])])
-    def test_pool_has_no_more_workers_than_points(self, grid, started, monkeypatch):
+    @pytest.mark.parametrize("symbols, started", [(400, [2]), (100, [])], ids=["two", "one"])
+    def test_pool_has_no_more_workers_than_batches(self, symbols, started, monkeypatch):
         pools = []
 
         class InlinePool:
@@ -253,8 +253,8 @@ class TestDeterminism:
                 return future
 
         monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", InlinePool)
-        small = dict(channel_mode="flat", ofdm_symbols=100, snr_db_grid=grid, master_seed=9)
-        assert run_sweep(SimConfig(workers=8, **small)) == run_sweep(SimConfig(**small))
+        small = dict(channel_mode="flat", ofdm_symbols=symbols, batch_symbols=256, master_seed=9)
+        assert run_point(SimConfig(workers=8, **small), 10.0) == run_point(SimConfig(**small), 10.0)
         assert pools == started
 
     def test_partial_last_batch_counts_all_bits(self):
@@ -420,21 +420,21 @@ class TestMonteCarloObjective:
         assert fast.pair == slow.pair
         assert fast.trace_objective.min() > 0
 
-    def test_chain_runs_once_per_snr_point_and_batch(self, monkeypatch):
-        # the draws are made once, whatever the number of candidates
+    def test_chain_runs_once_per_batch(self, monkeypatch):
+        # the draws are made once, whatever the number of SNR points and candidates
         rows = []
         draws = harness._draws
 
         def counting(*args):
-            for batch in draws(*args):
-                rows.append(batch[1].shape[0])
-                yield batch
+            batch = draws(*args)
+            rows.append(batch[1].shape[0])
+            return batch
 
         monkeypatch.setattr(harness, "_draws", counting)
         cfg = SimConfig(ofdm_symbols=600, batch_symbols=256, snr_db_grid=(0.0, 10.0))
         res = scan_levels(Policy.POWER_SAVING, objective=monte_carlo_objective(cfg))
         assert res.trace_high.size == 37
-        assert rows == [256, 256, 88] * 2
+        assert rows == [256, 256, 88]
 
     def test_workers_share_one_pool_and_the_trace(self, monkeypatch):
         starts = []

@@ -158,13 +158,14 @@ def test_frequency_domain_chain_matches_time_domain(link):
     # with n0 = 0 both chains draw the same bits and erasures and give the
     # points on every bin they keep, whatever prefix covers the spread
     cfg, cp = link
-    mapper, _ = harness._spm_link(cfg.pair())
-    fast = list(harness._draws(cfg, 0, 0.0, 2))
-    slow = list(time_domain_draws(cfg, 0, 0.0, 2, mapper, cp))
+    mapper, _ = harness._link(cfg.pair())
+    plan = _batch_plan(cfg.ofdm_symbols, cfg.batch_symbols, cfg.coherence_block)
+    fast = [harness._draws(cfg, 2, batch) for batch in plan]
+    slow = list(time_domain_draws(cfg, 0.0, 2, mapper, cp))
     assert len(fast) == len(slow)
-    for (bits, noise, erased), (slow_bits, slow_symbols, slow_erased, _) in zip(fast, slow):
+    for (bits, z, erased), (slow_bits, slow_symbols, slow_erased, _) in zip(fast, slow):
         np.testing.assert_array_equal(bits, slow_bits)
         np.testing.assert_array_equal(erased, slow_erased)
-        assert not noise.any()
+        assert not (0.0 * z).any()  # n0 = 0 scales the unit noise away
         fast_symbols = np.where(erased, 0.0, mapper(bits))
         np.testing.assert_allclose(fast_symbols, slow_symbols, rtol=1e-9, atol=1e-9)
