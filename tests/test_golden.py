@@ -44,33 +44,33 @@ RUNS = {
     "flat": (
         dict(channel_mode="flat"),
         run_sweep,
-        "1a37d5ac265c06be62bf787e4199497eb4cf7761f4d4836d976f10bb43ec1220",
+        "ad25b8ab28ea8c2422534fc7e1bf542f763222e30a63871a26fd22ed744b1885",
     ),
     "multipath": (
         dict(),
         run_sweep,
-        "6ca064f0b98f50632ce2b33298f2433c9c875b9ffac53e2832ce4ba2634a43c1",
+        "4e762c65cd636532e8b2992209408dcea1feb33adb0ea91d2e6fa21b51363eba",
     ),
     "baseline": (
         dict(),
         run_baseline_ofdm_bpsk,
-        "377646cb1d4b3f4b9c51297b813c56cb58d25f2cc6e77e631d33bad9c49cf880",
+        "72121d49ac0d9a5f8190ae53fce95876d8b3a5148abb9874aa91aa12646edbc5",
     ),
     "per_bit": (
         dict(policy=Policy.REALLOC_OPTIMIZED, snr_convention="per_bit"),
         run_sweep,
-        "aefe1810df7932bee66092a371b6e257929069c4866d935b6eb352fdb68345a9",
+        "9d8e24acd4e1f702a0df36e520593c61ff1cd4c93335dd48cb177b8ef6cf332e",
     ),
     "coherence_block": (
         dict(coherence_block=4),
         run_sweep,
-        "1a334a3ee80a9a5246df85e8bdf7ae3fbaae94a33abfc2412d49de2fcb3dd989",
+        "add8a7c2fc1d30c392749e2bdf5c4698c365ad288a0219b1fb056ee3eb7778fc",
     ),
     # the determinism contract: same bytes as the one-worker multipath run
     "workers": (
         dict(workers=2),
         run_sweep,
-        "6ca064f0b98f50632ce2b33298f2433c9c875b9ffac53e2832ce4ba2634a43c1",
+        "4e762c65cd636532e8b2992209408dcea1feb33adb0ea91d2e6fa21b51363eba",
     ),
 }
 
@@ -190,8 +190,8 @@ CLI_RUNS = {
     ),
     "scan_mc": (
         SCAN_MC,
-        "b1edf0a58a6ec2a0ee44a6ef0a71293f5cdb47cd334abef3283b43c2da5bca2c",
-        "2862ed2d4b90de88271d8e33bc043cbe1e2f9f2ba705073917c12b848b8f3362",
+        "a5135bf91ef66cc5ec69720595f3d73190930b8664950c2153a6c4cae5c8e8cc",
+        "903f49c894f70bfd8aae2f1d9dbbf7f622483bf0204660adc63fe36e00a87898",
     ),
 }
 
