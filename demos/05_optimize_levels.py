@@ -4,9 +4,9 @@ The optimizer walks H upward in 0.01 steps with L derived from the
 budget at each step, keeping the pair that minimizes the mean
 closed-form total BER over the standard grid. The same scan accepts a
 Monte Carlo objective; common random numbers keep that variant
-deterministic too. It simulates the link once per SNR point and batch
-and scores every candidate on that one draw, so a candidate costs a
-detection pass, not a simulation.
+deterministic too. It draws each batch of the link once for the whole
+SNR grid and scores every candidate on that one draw, so a candidate
+costs a detection pass, not a simulation.
 """
 
 import numpy as np
@@ -31,7 +31,7 @@ def main():
         print(f"  winner: H = {res.pair.high:.2f}, L = {res.pair.low:.4f}, "
               f"objective = {res.objective:.6f}")
         print(f"  documented point H = {ref.high}: objective = "
-              f"{objective(ref):.6f}")
+              f"{objective([ref])[0]:.6f}")
         # a taste of the trace around the winner
         i = int(np.argmin(res.trace_objective))
         lo, hi = max(0, i - 2), min(res.trace_high.size, i + 3)

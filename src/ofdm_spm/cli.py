@@ -24,7 +24,7 @@ from .harness import (
     write_csv,
     write_table,
 )
-from .optimize import check_walk, mean_ber_objective, scan_levels
+from .optimize import mean_ber_objective, scan_levels
 
 THEORY_COLUMNS = ("snr_db", *(f.name for f in dataclasses.fields(BerBreakdown)), "throughput")
 
@@ -156,7 +156,6 @@ def _cmd_optimize(args) -> int:
     h_step = _parse(float, args.h_step, "--h-step")
     monte_carlo = args.objective == "monte_carlo"
     cfg = _build_config(args, needs_seed=monte_carlo)
-    check_walk(cfg.policy, h_start, h_step)  # before the Monte Carlo objective draws
     if monte_carlo:
         objective = monte_carlo_objective(cfg)
     else:

@@ -2,11 +2,11 @@
 
 Reproducibility contract: every batch of symbols draws from its own RNG
 seeded by (master_seed, batch_index), and batch boundaries depend only on
-the configuration. Only the noise scale depends on the SNR, so each batch
-is drawn once and counted at every SNR point: simulate's point equals the
-sweep's row at that SNR. The reduction sums integer error counts in batch
-order, so results are byte-identical across repeat runs and across worker
-counts.
+the configuration. The draw depends on neither the SNR nor the pair, so
+each batch is drawn once and counted at every SNR point for every pair:
+simulate's point equals the sweep's row at that SNR. The reduction sums
+integer error counts in batch order, so results are byte-identical across
+repeat runs and across worker counts.
 """
 from __future__ import annotations
 
@@ -275,39 +275,39 @@ def _error_counts(batch, sigmas, mapper, detectors) -> list[list[int]]:
     return errors
 
 
-def _sigmas(cfg: SimConfig, grid, pair: PowerPair | None) -> list[float]:
-    """Noise scale sqrt(n0 / 2) at each SNR; rejects -inf before any draw."""
-    return [math.sqrt(cfg.noise_density(snr_db, pair) / 2.0) for snr_db in grid]
+def _batch_errors(cfg: SimConfig, pairs, sigmas, batch) -> list:
+    """Decision errors [pair][scale][stream] of one batch, drawn once and
+    counted for every pair at that pair's noise scales."""
+    links = [_link(pair) for pair in pairs]
+    draw = _draws(cfg, max(len(detectors) for _, detectors in links), batch)
+    return [_error_counts(draw, scales, *link) for link, scales in zip(links, sigmas)]
 
 
-def _map_batches(cfg: SimConfig, fn) -> list:
-    """fn of each batch of cfg, in batch order, over cfg.workers processes."""
+def _errors(cfg: SimConfig, grid, pairs) -> list:
+    """Decision errors [pair][snr][stream] of cfg's run for each of pairs
+    (None for the baseline) at every SNR of grid, noise scales checked
+    before any draw. Each batch is drawn once, in a worker if cfg.workers
+    > 1, and counted for every pair; the parent sums in batch order."""
+    sigmas = [[math.sqrt(cfg.noise_density(snr_db, pair) / 2.0) for snr_db in grid]
+              for pair in pairs]
+    count = functools.partial(_batch_errors, cfg, pairs, sigmas)
     batches = _batch_plan(cfg.ofdm_symbols, cfg.batch_symbols, cfg.coherence_block)
     workers = min(cfg.workers, len(batches))  # a pool starts all its workers at once
     if workers > 1:
         with concurrent.futures.ProcessPoolExecutor(max_workers=workers) as pool:
-            futures = [pool.submit(fn, batch) for batch in batches]
-            return [f.result() for f in futures]
-    return [fn(batch) for batch in batches]
-
-
-def _batch_errors(cfg: SimConfig, pair: PowerPair | None, sigmas, batch):
-    mapper, detectors = _link(pair)
-    return _error_counts(_draws(cfg, len(detectors), batch), sigmas, mapper, detectors)
+            futures = [pool.submit(count, batch) for batch in batches]
+            counts = [f.result() for f in futures]
+    else:
+        counts = [count(batch) for batch in batches]
+    return np.sum(counts, axis=0).tolist()
 
 
 def _records(cfg: SimConfig, grid, pair: PowerPair | None) -> list[SweepRecord]:
     """Simulate OFDM-SPM at pair, or plain OFDM-BPSK (one bit per
-    subcarrier, unit energy) for None, at every SNR of grid on one draw.
-
-    Each batch is drawn once and counted at every SNR; the parent sums the
-    integer counts in batch order.
-    """
-    sigmas = _sigmas(cfg, grid, pair)
-    batches = _map_batches(cfg, functools.partial(_batch_errors, cfg, pair, sigmas))
+    subcarrier, unit energy) for None, at every SNR of grid on one draw."""
     bits_per_stream = cfg.data_subcarriers * cfg.ofdm_symbols
     records = []
-    for snr_db, errors in zip(grid, np.sum(batches, axis=0).tolist()):
+    for snr_db, errors in zip(grid, _errors(cfg, grid, [pair])[0]):
         snr = cfg.detector_snr(snr_db, pair)
         if pair is None:
             (bpsk,) = (e / bits_per_stream for e in errors)
@@ -344,27 +344,23 @@ def run_baseline_ofdm_bpsk(cfg: SimConfig) -> list[SweepRecord]:
 
 
 def monte_carlo_objective(cfg: SimConfig):
-    """Objective factory for scan_levels: mean simulated ber_total.
+    """Objective factory for scan_levels: mean simulated ber_total over
+    cfg.snr_db_grid, for each pair of a list.
 
-    Every candidate pair is evaluated on the same draws (common random
-    numbers), which makes comparisons between candidates much tighter than
-    the per-point noise level and keeps the scan deterministic. The batches
-    are drawn once for the whole grid, when the factory is called, spread
-    over cfg.workers processes (one pool, if any). Each candidate is then a
-    detection pass over the stored draws at every SNR, through the
-    _error_counts run_sweep uses, so it scores the rates run_sweep gives at
-    that candidate's H. The draws hold 2 int8 bits, the float64 unit noise
-    and one erasure flag per data subcarrier and symbol, 11 bytes.
+    All pairs are scored on the same draws (common random numbers), which
+    makes comparisons between candidates much tighter than the per-point
+    noise level and keeps the scan deterministic. Each batch is drawn once
+    per call and counted for every pair at every SNR, through the
+    _error_counts run_sweep uses, in cfg.workers processes (one pool, if
+    any). So a pair scores the rates run_sweep gives at that pair's H, and
+    no draw is kept between calls.
     """
-    sigmas = _sigmas(cfg, cfg.snr_db_grid, cfg.pair())  # depends on the policy budget only
-    draws = _map_batches(cfg, functools.partial(_draws, cfg, 2))
     bits_per_stream = cfg.data_subcarriers * cfg.ofdm_symbols
 
-    def objective(pair: PowerPair) -> float:
-        link = _link(pair)
-        errors = np.sum([_error_counts(batch, sigmas, *link) for batch in draws], axis=0)
-        return float(np.mean([0.5 * (p / bits_per_stream + b / bits_per_stream)
-                              for p, b in errors.tolist()]))
+    def objective(pairs) -> list[float]:
+        return [float(np.mean([0.5 * (p / bits_per_stream + b / bits_per_stream)
+                               for p, b in errors]))
+                for errors in _errors(cfg, cfg.snr_db_grid, pairs)]
 
     return objective
 

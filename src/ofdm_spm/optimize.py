@@ -16,19 +16,22 @@ BUDGET_MARGIN = 1e-6
 # the longest walk scan_levels takes: a step that H absorbs never ends it
 MAX_CANDIDATES = 10**6
 
+# an objective scores a list of candidate pairs: one float per pair, in order
+Objective = Callable[[list[PowerPair]], list[float]]
 
-def mean_ber_objective(cfg: SimConfig) -> Callable[[PowerPair], float]:
+
+def mean_ber_objective(cfg: SimConfig) -> Objective:
     """Default objective: mean closed-form ber_total over cfg.snr_db_grid.
 
     Each grid value maps to the candidate's detector SNR under
     cfg.snr_convention, as in the theory table and the sweeps.
     """
 
-    def objective(pair: PowerPair) -> float:
+    def score(pair: PowerPair) -> float:
         snrs = [cfg.detector_snr(snr_db, pair) for snr_db in cfg.snr_db_grid]
         return float(np.mean(ber_breakdown(snrs, pair).ber_total))
 
-    return objective
+    return lambda pairs: [score(pair) for pair in pairs]
 
 
 @dataclass(eq=False)
@@ -42,41 +45,37 @@ class ScanResult:
     trace_objective: np.ndarray = field(repr=False)
 
 
-def check_walk(policy: Policy, h_start: float, h_step: float) -> None:
-    """Reject a scan_levels walk that would not end or would take more
-    than MAX_CANDIDATES steps, before any objective is built."""
-    if not (h_start > 0 and h_step > 0):  # NaN fails too: it would never end the walk
-        raise ValueError(f"h_start and h_step must be positive, got {h_start!r}, {h_step!r}")
-    walk = ((policy.budget - BUDGET_MARGIN) ** 0.5 - h_start) / h_step
-    if walk > MAX_CANDIDATES:
-        raise ValueError(
-            f"h_step={h_step!r} from h_start={h_start!r} walks about {walk:.3g} "
-            f"candidates, more than the cap of {MAX_CANDIDATES}"
-        )
-
-
 def scan_levels(
     policy: Policy,
-    objective: Callable[[PowerPair], float] | None = None,
+    objective: Objective | None = None,
     h_start: float = 1.05,
     h_step: float = 0.01,
 ) -> ScanResult:
     """Walk H upward in fixed steps and return the objective's argmin.
 
     Candidates are power_pair_for(policy, H) for H = h_start +
-    k*h_step, k = 0, 1, ... while H^2 < budget - 1e-6; check_walk rejects
-    a bad walk up front. Steps whose implied L would not satisfy 0 < L < H
-    are skipped (the low end of the walk can be infeasible under the
-    larger budget); the scan fails only when no candidate at all is
-    feasible. Ties resolve to the smaller H. The
+    k*h_step, k = 0, 1, ... while H^2 < budget - 1e-6; a walk that would
+    not end or would take more than MAX_CANDIDATES steps is rejected up
+    front. Steps whose implied L would not satisfy 0 < L < H are skipped
+    (the low end of the walk can be infeasible under the larger budget);
+    the scan fails only when no candidate at all is feasible. The
+    objective is then called once, on every feasible pair in walk order,
+    and returns one value per pair. Ties resolve to the smaller H. The
     default objective is mean_ber_objective over SimConfig's default grid;
     it is deterministic (closed form), so the result is too.
     """
-    check_walk(policy, h_start, h_step)
+    if not (h_start > 0 and h_step > 0):  # NaN fails too: it would never end the walk
+        raise ValueError(f"h_start and h_step must be positive, got {h_start!r}, {h_step!r}")
+    budget = policy.budget
+    walk = ((budget - BUDGET_MARGIN) ** 0.5 - h_start) / h_step
+    if walk > MAX_CANDIDATES:
+        raise ValueError(
+            f"h_step={h_step!r} from h_start={h_start!r} walks about {walk:.3g} "
+            f"candidates, more than the cap of {MAX_CANDIDATES}"
+        )
     if objective is None:
         objective = mean_ber_objective(SimConfig(policy=policy))
-    budget = policy.budget
-    pairs, values = [], []
+    pairs = []
     k = 0
     while True:
         h = h_start + h_step * k
@@ -88,12 +87,14 @@ def scan_levels(
         except ValueError:  # L >= H, not a usable pair yet
             continue
         pairs.append(pair)
-        values.append(float(objective(pair)))
-    if not values:
+    if not pairs:
         raise ValueError(
             f"no feasible (L, H) candidate with h_start={h_start!r}, "
             f"h_step={h_step!r} under budget {budget!r}"
         )
+    values = [float(value) for value in objective(pairs)]
+    if len(values) != len(pairs):
+        raise ValueError(f"the objective scored {len(values)} of {len(pairs)} candidates")
     best = int(np.argmin(values))  # first minimum = smallest H on ties
     return ScanResult(
         pair=pairs[best],

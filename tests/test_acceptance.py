@@ -8,6 +8,7 @@ symbol counts.
 
 from __future__ import annotations
 
+import concurrent.futures
 import io
 import math
 import time
@@ -261,7 +262,7 @@ def test_criterion_10_optimizer_dominance():
     results = {}
     for policy in (Policy.POWER_SAVING, Policy.REALLOC_OPTIMIZED):
         res = scan_levels(policy, h_start=1.05, h_step=0.01)
-        ref_value = mean_ber_objective(SimConfig(policy=policy))(reference_pair(policy))
+        ref_value = mean_ber_objective(SimConfig(policy=policy))([reference_pair(policy)])[0]
         results[policy] = (res, ref_value)
     elapsed = time.perf_counter() - t0
     dominated = all(
@@ -272,13 +273,23 @@ def test_criterion_10_optimizer_dominance():
     _criterion(10, ok, f"winners {highs}, both <= published objective, {elapsed:.2f} s")
 
 
-def test_criterion_11_deterministic_csv(tmp_path):
+def test_criterion_11_deterministic_csv(tmp_path, monkeypatch):
+    # 4 batches of 500 symbols, so the 2-worker run starts a pool
     small = dict(
         channel_mode="flat",
         ofdm_symbols=2000,
+        batch_symbols=500,
         snr_db_grid=(0.0, 10.0),
         master_seed=11,
     )
+    pools = []
+
+    class RecordingPool(concurrent.futures.ProcessPoolExecutor):
+        def __init__(self, *args, **kwargs):
+            pools.append(kwargs.get("max_workers"))
+            super().__init__(*args, **kwargs)
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
     outputs = []
     for name, workers in [("a", 1), ("b", 1), ("c", 2)]:
         buf = io.StringIO()
@@ -286,5 +297,5 @@ def test_criterion_11_deterministic_csv(tmp_path):
         path = tmp_path / f"{name}.csv"
         path.write_text(buf.getvalue())
         outputs.append(path.read_bytes())
-    ok = outputs[0] == outputs[1] == outputs[2]
-    _criterion(11, ok, "two runs and a 2-worker run byte-identical")
+    ok = outputs[0] == outputs[1] == outputs[2] and pools == [2]
+    _criterion(11, ok, f"two runs and a 2-worker run byte-identical, pools started {pools}")

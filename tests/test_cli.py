@@ -25,7 +25,7 @@ from ofdm_spm import (
     scan_levels,
     write_csv,
 )
-from ofdm_spm import cli
+from ofdm_spm import cli, harness
 from ofdm_spm.cli import OPTIONS, THEORY_COLUMNS, _build_config, _build_parser, main
 from ofdm_spm.harness import CSV_COLUMNS
 
@@ -133,7 +133,7 @@ class TestClosedFormAgreement:
         cfg = SimConfig(policy=Policy(policy), snr_convention=convention,
                         snr_db_grid=AGREEMENT_GRID)
         mean_total = np.mean([float(row["ber_total"]) for row in theory])
-        assert mean_ber_objective(cfg)(cfg.pair()) == mean_total
+        assert mean_ber_objective(cfg)([cfg.pair()]) == [mean_total]
 
 
 class TestSimulate:
@@ -385,7 +385,7 @@ class TestOptimize:
     @pytest.mark.parametrize("step", ["nan", "0", "1e-300"])
     def test_bad_step_fails_before_the_draws(self, step, monkeypatch, capsys):
         drawn = []
-        monkeypatch.setattr(cli, "monte_carlo_objective", drawn.append)
+        monkeypatch.setattr(harness, "_draws", lambda *args: drawn.append(args))
         argv = ["optimize", "--objective", "monte_carlo", "--seed", "1", "--h-step", step]
         assert main(argv) == 2
         assert drawn == []

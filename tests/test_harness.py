@@ -135,7 +135,12 @@ class TestNoiseDensity:
         with pytest.raises(ValueError):
             SimConfig().noise_density(math.nan, None)
 
-    @pytest.mark.parametrize("run", [run_sweep, run_baseline_ofdm_bpsk, monte_carlo_objective])
+    @pytest.mark.parametrize("run", [
+        run_sweep,
+        run_baseline_ofdm_bpsk,
+        pytest.param(lambda cfg: monte_carlo_objective(cfg)([cfg.pair()]),
+                     id="monte_carlo_objective"),
+    ])
     def test_negative_infinity_in_a_grid_fails_before_any_point(self, run, monkeypatch):
         # SimConfig keeps -inf (the theory table's zero SNR); simulations reject it up front
         calls = []
@@ -368,11 +373,11 @@ class TestCsv:
 def _per_candidate_objective(cfg):
     """Reference rule for the Monte Carlo objective: a whole sweep per candidate."""
 
-    def objective(pair):
+    def score(pair):
         records = run_sweep(dataclasses.replace(cfg, high_factor=pair.high))
         return float(np.mean([r.ber_total_sim for r in records]))
 
-    return objective
+    return lambda pairs: [score(pair) for pair in pairs]
 
 
 # (scan policy, SimConfig fields); every scan candidate must score exactly
@@ -432,7 +437,9 @@ class TestMonteCarloObjective:
 
         monkeypatch.setattr(harness, "_draws", counting)
         cfg = SimConfig(ofdm_symbols=600, batch_symbols=256, snr_db_grid=(0.0, 10.0))
-        res = scan_levels(Policy.POWER_SAVING, objective=monte_carlo_objective(cfg))
+        objective = monte_carlo_objective(cfg)
+        assert rows == []  # the factory draws nothing; each call draws its batches
+        res = scan_levels(Policy.POWER_SAVING, objective=objective)
         assert res.trace_high.size == 37
         assert rows == [256, 256, 88]
 
@@ -457,6 +464,30 @@ class TestMonteCarloObjective:
         assert starts == [2]
         assert parallel.trace_objective.tolist() == serial.trace_objective.tolist()
 
+    def test_workers_count_the_errors(self, monkeypatch):
+        # each batch is scored for every candidate in its worker, so the
+        # parent only sums counts
+        calls = []
+        error_counts = harness._error_counts
+
+        def recording(*args):
+            calls.append(args[1])
+            return error_counts(*args)
+
+        monkeypatch.setattr(harness, "_error_counts", recording)
+        fields = dict(ofdm_symbols=600, batch_symbols=256, snr_db_grid=(0.0, 10.0, 20.0),
+                      master_seed=2)
+        serial = scan_levels(
+            Policy.POWER_SAVING, objective=monte_carlo_objective(SimConfig(**fields))
+        )
+        assert len(calls) == 3 * serial.trace_high.size
+        calls.clear()
+        parallel = scan_levels(
+            Policy.POWER_SAVING, objective=monte_carlo_objective(SimConfig(workers=2, **fields))
+        )
+        assert calls == []
+        assert parallel.trace_objective.tolist() == serial.trace_objective.tolist()
+
     def test_deterministic_and_plausible(self):
         cfg = SimConfig(
             channel_mode="flat",
@@ -466,7 +497,7 @@ class TestMonteCarloObjective:
         )
         obj = monte_carlo_objective(cfg)
         ref = reference_pair(Policy.POWER_SAVING)
-        v1, v2 = obj(ref), obj(ref)
+        (v1,), (v2,) = obj([ref]), obj([ref])
         assert v1 == v2
         closed = np.mean([ber_breakdown(10 ** (s / 10), ref).ber_total for s in cfg.snr_db_grid])
         assert v1 == pytest.approx(closed, rel=0.15)

@@ -10,6 +10,7 @@ from ofdm_spm import (
     SimConfig,
     ber_breakdown,
     mean_ber_objective,
+    power_pair_for,
     reference_pair,
     scan_levels,
 )
@@ -62,7 +63,7 @@ class TestArgmin:
         res = scan_levels(Policy.POWER_SAVING)
         assert res.pair.high == pytest.approx(1.35, abs=1e-9)
         ref = reference_pair(Policy.POWER_SAVING)
-        assert res.objective <= mean_ber_objective(SimConfig())(ref) + 1e-12
+        assert res.objective <= mean_ber_objective(SimConfig())([ref])[0] + 1e-12
 
     def test_realloc_default_objective_near_reference(self):
         res = scan_levels(Policy.REALLOC_OPTIMIZED)
@@ -70,16 +71,16 @@ class TestArgmin:
         assert abs(res.pair.high - 1.918) <= 0.01 + 1e-9
         ref = reference_pair(Policy.REALLOC_OPTIMIZED)
         objective = mean_ber_objective(SimConfig(policy=Policy.REALLOC_OPTIMIZED))
-        assert res.objective <= objective(ref) + 1e-9
+        assert res.objective <= objective([ref])[0] + 1e-9
 
     def test_custom_objective(self):
         res = scan_levels(
-            Policy.POWER_SAVING, objective=lambda p: (p.high - 1.2) ** 2
+            Policy.POWER_SAVING, objective=lambda pairs: [(p.high - 1.2) ** 2 for p in pairs]
         )
         assert res.pair.high == pytest.approx(1.2, abs=1e-9)
 
     def test_tie_takes_smaller_high(self):
-        res = scan_levels(Policy.POWER_SAVING, objective=lambda p: 1.0)
+        res = scan_levels(Policy.POWER_SAVING, objective=lambda pairs: [1.0] * len(pairs))
         assert res.pair.high == pytest.approx(1.05)
 
     def test_objective_matches_trace(self):
@@ -88,6 +89,41 @@ class TestArgmin:
         i = int(np.argmin(res.trace_objective))
         assert res.objective == res.trace_objective[i]
         assert res.pair.high == pytest.approx(res.trace_high[i])
+
+
+class TestObjectiveProtocol:
+    def test_one_call_on_every_feasible_pair_in_walk_order(self):
+        policy = Policy.REALLOC_OPTIMIZED
+        calls = []
+
+        def objective(pairs):
+            calls.append(list(pairs))
+            return [(p.high - 1.7) ** 2 for p in pairs]
+
+        res = scan_levels(policy, objective=objective, h_start=1.05, h_step=0.01)
+        walk = []
+        for k in range(100):
+            h = 1.05 + 0.01 * k
+            if h * h >= policy.budget - 1e-6:
+                break
+            try:
+                walk.append(power_pair_for(policy, h))
+            except ValueError:
+                pass
+        assert len(walk) == 58
+        assert calls == [walk]
+        assert res.pair == walk[int(np.argmin([(p.high - 1.7) ** 2 for p in walk]))]
+
+    def test_bad_walk_fails_before_the_objective(self):
+        calls = []
+        for bad in (dict(h_step=0.0), dict(h_step=float("nan")), dict(h_step=1e-300)):
+            with pytest.raises(ValueError):
+                scan_levels(Policy.POWER_SAVING, objective=calls.append, **bad)
+        assert calls == []
+
+    def test_one_value_per_pair(self):
+        with pytest.raises(ValueError, match="scored 1 of 37"):
+            scan_levels(Policy.POWER_SAVING, objective=lambda pairs: [1.0])
 
 
 class TestDeterminism:
@@ -103,7 +139,7 @@ class TestObjectiveFactory:
     def test_single_point_value(self):
         obj = mean_ber_objective(SimConfig(snr_db_grid=(10.0,)))
         ref = reference_pair(Policy.POWER_SAVING)
-        assert obj(ref) == pytest.approx(ber_breakdown(10.0, ref).ber_total, abs=1e-15)
+        assert obj([ref])[0] == pytest.approx(ber_breakdown(10.0, ref).ber_total, abs=1e-15)
 
 
 class TestReferencePairs:
