@@ -13,7 +13,6 @@ from .channel import (
     channel_frequency_response,
     draw_flat_rayleigh,
     draw_taps,
-    make_profile,
 )
 from .core import (
     DEFAULT_HIGH_FACTOR,
@@ -21,7 +20,6 @@ from .core import (
     PowerPair,
     SubcarrierLayout,
     constellation_point,
-    default_layout,
     detection_threshold,
     map_bpsk,
     power_pair_for,
@@ -33,8 +31,6 @@ from .harness import (
     SweepRecord,
     monte_carlo_objective,
     run_baseline_ofdm_bpsk,
-    run_baseline_point,
-    run_point,
     run_sweep,
     write_csv,
 )

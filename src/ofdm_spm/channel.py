@@ -8,48 +8,48 @@ provided as the statistical reference case for the closed-form curves.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import InitVar, dataclass, field
 
 import numpy as np
 
 
 @dataclass(frozen=True, eq=False)
 class ChannelProfile:
-    """Power-delay profile. powers holds the normalized linear tap powers."""
+    """Power-delay profile, validated and normalized on construction.
+
+    Delays are integer sample offsets, strictly increasing from a first
+    tap at 0. powers_db are finite relative dB values; the absolute scale
+    is irrelevant, so only the linear powers renormalized to sum(p_k) = 1
+    are kept, as powers.
+    """
 
     delays: np.ndarray = field(repr=False)
-    powers: np.ndarray = field(repr=False)
+    powers_db: InitVar[tuple]
+    powers: np.ndarray = field(init=False, repr=False)
+
+    def __post_init__(self, powers_db):
+        d = np.asarray(self.delays)
+        p_db = np.asarray(powers_db, dtype=np.float64)
+        if d.ndim != 1 or p_db.ndim != 1 or d.size != p_db.size:
+            raise ValueError("delays and powers_db must be 1-D and equally long")
+        if d.size == 0:
+            raise ValueError("profile needs at least one tap")
+        if not np.isfinite(p_db).all():
+            raise ValueError(f"powers_db must be finite, got {tuple(p_db.tolist())}")
+        if not np.issubdtype(d.dtype, np.integer) and not np.all(d == np.round(d)):
+            raise ValueError("delays must be integer sample offsets")
+        d = d.astype(np.intp)
+        if d[0] != 0:
+            raise ValueError(f"first delay must be 0, got {d[0]}")
+        if np.any(np.diff(d) <= 0):
+            raise ValueError("delays must be strictly increasing")
+        lin = 10.0 ** ((p_db - p_db.max()) / 10.0)
+        object.__setattr__(self, "delays", d)
+        object.__setattr__(self, "powers", lin / lin.sum())
 
     @property
     def max_delay(self) -> int:
         return int(self.delays[-1])
-
-
-def make_profile(delays, powers_db) -> ChannelProfile:
-    """Validate a delay/power table and normalize powers to unit sum.
-
-    Delays are integer sample offsets, strictly increasing from a first
-    tap at 0. Powers are finite relative dB values; the absolute scale is
-    irrelevant because the linear powers are renormalized to sum(p_k) = 1.
-    """
-    d = np.asarray(delays)
-    p_db = np.asarray(powers_db, dtype=np.float64)
-    if d.ndim != 1 or p_db.ndim != 1 or d.size != p_db.size:
-        raise ValueError("delays and powers_db must be 1-D and equally long")
-    if d.size == 0:
-        raise ValueError("profile needs at least one tap")
-    if not np.isfinite(p_db).all():
-        raise ValueError(f"powers_db must be finite, got {tuple(p_db.tolist())}")
-    if not np.issubdtype(d.dtype, np.integer):
-        if not np.all(d == np.round(d)):
-            raise ValueError("delays must be integer sample offsets")
-        d = d.astype(np.int64)
-    if d[0] != 0:
-        raise ValueError(f"first delay must be 0, got {d[0]}")
-    if np.any(np.diff(d) <= 0):
-        raise ValueError("delays must be strictly increasing")
-    lin = 10.0 ** ((p_db - p_db.max()) / 10.0)
-    return ChannelProfile(delays=d.astype(np.intp), powers=lin / lin.sum())
 
 
 def _complex_normal(shape, rng) -> np.ndarray:

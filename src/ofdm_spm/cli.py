@@ -19,7 +19,6 @@ from .harness import (
     SimConfig,
     monte_carlo_objective,
     run_baseline_ofdm_bpsk,
-    run_point,
     run_sweep,
     write_csv,
     write_table,
@@ -138,7 +137,8 @@ def _cmd_theory(args) -> int:
 
 # how each simulation command turns its config into sweep records
 _RECORDS = {
-    "simulate": lambda cfg, args: [run_point(cfg, _parse(float, args.snr, "--snr"))],
+    "simulate": lambda cfg, args: run_sweep(
+        dataclasses.replace(cfg, snr_db_grid=(_parse(float, args.snr, "--snr"),))),
     "sweep": lambda cfg, args: run_sweep(cfg),
     "baseline": lambda cfg, args: run_baseline_ofdm_bpsk(cfg),
 }

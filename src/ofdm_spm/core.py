@@ -130,51 +130,25 @@ def detection_threshold(pair: PowerPair) -> float:
 
 @dataclass(frozen=True, eq=False)
 class SubcarrierLayout:
-    """Assignment of FFT bins to data; every other bin is a zero guard.
+    """Assignment of n of the fft_size bins to data; the rest are zero guards.
 
-    data_bins are distinct and lie in [0, fft_size). Bin k for
-    k > fft_size/2 represents the negative frequency k - fft_size.
+    The first guard nulls DC and the others sit around the band edge, the
+    odd one on the positive side. With 64/52 (SimConfig().layout()) this
+    nulls bin 0, the six uppermost positive bins (27..32) and the five
+    lowermost negative bins (33..37), leaving data on bins +-1..+-26. Bin
+    k for k > fft_size/2 represents the negative frequency k - fft_size.
     """
 
     fft_size: int
-    data_bins: np.ndarray = field(repr=False)
+    n: int
+    data_bins: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
-        data = np.asarray(self.data_bins, dtype=np.intp)
+        if not 1 <= self.n <= self.fft_size:
+            raise ValueError(f"n must be in [1, {self.fft_size}], got {self.n}")
+        guards = self.fft_size - self.n
+        dc = min(guards, 1)  # the first guard nulls DC
+        edge = self.fft_size // 2 - guards // 2  # last data bin below the edge guards
+        data = np.concatenate([np.arange(dc, edge + 1, dtype=np.intp),
+                               np.arange(edge + guards + 1 - dc, self.fft_size, dtype=np.intp)])
         object.__setattr__(self, "data_bins", data)
-        if self.fft_size < 1:
-            raise ValueError(f"fft_size must be positive, got {self.fft_size}")
-        if np.unique(data).size != data.size:
-            raise ValueError("data bins must be distinct")
-        if np.any((data < 0) | (data >= self.fft_size)):
-            raise ValueError("bin indices out of range")
-
-    @property
-    def n(self) -> int:
-        """Number of data subcarriers."""
-        return int(self.data_bins.size)
-
-
-def default_layout(fft_size: int, data_count: int) -> SubcarrierLayout:
-    """Standard layout: DC null, remaining guards split around the band edge.
-
-    With 64/52 (SimConfig().layout()) this nulls bin 0, the six uppermost
-    positive bins (27..32) and the five lowermost negative bins (33..37),
-    leaving data on bins +-1..+-26.
-    """
-    if data_count < 1 or data_count > fft_size:
-        raise ValueError(
-            f"data_count must be in [1, {fft_size}], got {data_count}"
-        )
-    guards = fft_size - data_count
-    guard_bins = []
-    if guards >= 1:
-        guard_bins.append(0)
-        rest = guards - 1
-        upper = (rest + 1) // 2
-        lower = rest - upper
-        half = fft_size // 2
-        guard_bins.extend(range(half - upper + 1, half + 1))
-        guard_bins.extend(range(half + 1, half + 1 + lower))
-    data = np.setdiff1d(np.arange(fft_size, dtype=np.intp), guard_bins)
-    return SubcarrierLayout(fft_size=fft_size, data_bins=data)

@@ -1,12 +1,12 @@
-"""Monte-Carlo link simulation: configuration, per-point runs, sweeps, CSV.
+"""Monte-Carlo link simulation: configuration, sweeps, CSV.
 
 Reproducibility contract: every batch of symbols draws from its own RNG
 seeded by (master_seed, batch_index), and batch boundaries depend only on
 the configuration. The draw depends on neither the SNR nor the pair, so
 each batch is drawn once and counted at every SNR point for every pair:
-simulate's point equals the sweep's row at that SNR. The reduction sums
-integer error counts in batch order, so results are byte-identical across
-repeat runs and across worker counts.
+simulate, a one-point sweep, equals the sweep's row at that SNR. The
+reduction sums integer error counts in batch order, so results are
+byte-identical across repeat runs and across worker counts.
 """
 from __future__ import annotations
 
@@ -22,13 +22,12 @@ import numpy as np
 
 from .analysis import ber_breakdown, rayleigh_bpsk_ber, throughput
 from . import rx
-from .channel import channel_frequency_response, draw_flat_rayleigh, draw_taps, make_profile
+from .channel import ChannelProfile, channel_frequency_response, draw_flat_rayleigh, draw_taps
 from .core import (
     Policy,
     PowerPair,
     SubcarrierLayout,
     constellation_point,
-    default_layout,
     detection_threshold,
     map_bpsk,
     power_pair_for,
@@ -123,10 +122,9 @@ class SimConfig:
             raise ValueError("workers must be >= 1")
         if self.master_seed < 0:
             raise ValueError("master_seed must be a nonnegative integer")
-        if self.channel_mode == "multipath":
-            spread = self.profile().max_delay  # validates delays/powers
-            if spread >= n:
-                raise ValueError(f"delay spread {spread} does not fit an FFT of size {n}")
+        spread = self.profile().max_delay  # validates delays/powers on every mode
+        if self.channel_mode == "multipath" and spread >= n:
+            raise ValueError(f"delay spread {spread} does not fit an FFT of size {n}")
         self.pair()  # validates policy/high_factor feasibility
 
     def pair(self) -> PowerPair:
@@ -135,10 +133,10 @@ class SimConfig:
         return power_pair_for(self.policy, self.high_factor)
 
     def layout(self) -> SubcarrierLayout:
-        return default_layout(self.fft_size, self.data_subcarriers)
+        return SubcarrierLayout(self.fft_size, self.data_subcarriers)
 
-    def profile(self):
-        return make_profile(self.delays, self.powers_db)
+    def profile(self) -> ChannelProfile:
+        return ChannelProfile(self.delays, self.powers_db)
 
     def detector_snr(self, snr_db: float, pair: PowerPair | None) -> float:
         """Linear SNR at the detector implied by the SNR axis value.
@@ -283,13 +281,14 @@ def _batch_errors(cfg: SimConfig, pairs, sigmas, batch) -> list:
     return [_error_counts(draw, scales, *link) for link, scales in zip(links, sigmas)]
 
 
-def _errors(cfg: SimConfig, grid, pairs) -> list:
+def _errors(cfg: SimConfig, pairs) -> list:
     """Decision errors [pair][snr][stream] of cfg's run for each of pairs
-    (None for the baseline) at every SNR of grid, noise scales checked
-    before any draw. Each batch is drawn once, in a worker if cfg.workers
-    > 1, and counted for every pair; the parent sums in batch order."""
-    sigmas = [[math.sqrt(cfg.noise_density(snr_db, pair) / 2.0) for snr_db in grid]
-              for pair in pairs]
+    (None for the baseline) at every SNR of cfg.snr_db_grid, noise scales
+    checked before any draw. Each batch is drawn once, in a worker if
+    cfg.workers > 1, and counted for every pair; the parent sums in batch
+    order."""
+    sigmas = [[math.sqrt(cfg.noise_density(snr_db, pair) / 2.0)
+               for snr_db in cfg.snr_db_grid] for pair in pairs]
     count = functools.partial(_batch_errors, cfg, pairs, sigmas)
     batches = _batch_plan(cfg.ofdm_symbols, cfg.batch_symbols, cfg.coherence_block)
     workers = min(cfg.workers, len(batches))  # a pool starts all its workers at once
@@ -302,12 +301,13 @@ def _errors(cfg: SimConfig, grid, pairs) -> list:
     return np.sum(counts, axis=0).tolist()
 
 
-def _records(cfg: SimConfig, grid, pair: PowerPair | None) -> list[SweepRecord]:
+def _records(cfg: SimConfig, pair: PowerPair | None) -> list[SweepRecord]:
     """Simulate OFDM-SPM at pair, or plain OFDM-BPSK (one bit per
-    subcarrier, unit energy) for None, at every SNR of grid on one draw."""
+    subcarrier, unit energy) for None, at every SNR of cfg.snr_db_grid on
+    one draw."""
     bits_per_stream = cfg.data_subcarriers * cfg.ofdm_symbols
     records = []
-    for snr_db, errors in zip(grid, _errors(cfg, grid, [pair])[0]):
+    for snr_db, errors in zip(cfg.snr_db_grid, _errors(cfg, [pair])[0]):
         snr = cfg.detector_snr(snr_db, pair)
         if pair is None:
             (bpsk,) = (e / bits_per_stream for e in errors)
@@ -323,24 +323,14 @@ def _records(cfg: SimConfig, grid, pair: PowerPair | None) -> list[SweepRecord]:
     return records
 
 
-def run_point(cfg: SimConfig, snr_db: float) -> SweepRecord:
-    """Simulate one OFDM-SPM operating point: run_sweep's row at snr_db."""
-    return _records(cfg, (snr_db,), cfg.pair())[0]
-
-
-def run_baseline_point(cfg: SimConfig, snr_db: float) -> SweepRecord:
-    """Simulate plain OFDM-BPSK at one point: run_baseline_ofdm_bpsk's row."""
-    return _records(cfg, (snr_db,), None)[0]
-
-
 def run_sweep(cfg: SimConfig) -> list[SweepRecord]:
     """Simulate every point of cfg.snr_db_grid, in grid order."""
-    return _records(cfg, cfg.snr_db_grid, cfg.pair())
+    return _records(cfg, cfg.pair())
 
 
 def run_baseline_ofdm_bpsk(cfg: SimConfig) -> list[SweepRecord]:
     """Baseline sweep over the same grid and draws as run_sweep."""
-    return _records(cfg, cfg.snr_db_grid, None)
+    return _records(cfg, None)
 
 
 def monte_carlo_objective(cfg: SimConfig):
@@ -360,7 +350,7 @@ def monte_carlo_objective(cfg: SimConfig):
     def objective(pairs) -> list[float]:
         return [float(np.mean([0.5 * (p / bits_per_stream + b / bits_per_stream)
                                for p, b in errors]))
-                for errors in _errors(cfg, cfg.snr_db_grid, pairs)]
+                for errors in _errors(cfg, pairs)]
 
     return objective
 

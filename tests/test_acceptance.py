@@ -25,8 +25,6 @@ from ofdm_spm import (
     mean_ber_objective,
     reference_pair,
     run_baseline_ofdm_bpsk,
-    run_baseline_point,
-    run_point,
     run_sweep,
     scan_levels,
     write_csv,
@@ -130,11 +128,12 @@ def test_criterion_01_noiseless_loopback():
     t0 = time.perf_counter()
     rates = []
     for policy in Policy:
-        rec = run_point(
-            _cfg(channel_mode="identity", ofdm_symbols=1000, policy=policy), INF
-        )
+        (rec,) = run_sweep(_cfg(channel_mode="identity", ofdm_symbols=1000,
+                                policy=policy, snr_db_grid=(INF,)))
         rates += [rec.ber_power_sim, rec.ber_bpsk_sim]
-    base = run_baseline_point(_cfg(channel_mode="identity", ofdm_symbols=1000), INF)
+    (base,) = run_baseline_ofdm_bpsk(
+        _cfg(channel_mode="identity", ofdm_symbols=1000, snr_db_grid=(INF,))
+    )
     rates.append(base.ber_bpsk_sim)
     elapsed = time.perf_counter() - t0
     ok = all(r == 0.0 for r in rates) and elapsed < 1.0
@@ -220,23 +219,21 @@ def test_criterion_07_bpsk_stream_gain(crossing_baseline, crossing_nonopt):
 
 
 def test_criterion_08_reallocation_throughput():
-    non = run_point(
+    (non,) = run_sweep(
         _cfg(
             channel_mode="multipath",
             policy=Policy.REALLOC_NON_OPTIMIZED,
             snr_db_grid=(15.0,),
             master_seed=801,
-        ),
-        15.0,
+        )
     )
-    opt = run_point(
+    (opt,) = run_sweep(
         _cfg(
             channel_mode="multipath",
             policy=Policy.REALLOC_OPTIMIZED,
             snr_db_grid=(10.0,),
             master_seed=802,
-        ),
-        10.0,
+        )
     )
     ok = non.throughput >= 1.90 and opt.throughput >= 1.90
     _criterion(

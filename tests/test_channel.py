@@ -7,12 +7,12 @@ import pytest
 
 from ofdm_spm import SimConfig
 from ofdm_spm.channel import (
+    ChannelProfile,
     add_awgn,
     apply_channel,
     channel_frequency_response,
     draw_flat_rayleigh,
     draw_taps,
-    make_profile,
 )
 
 
@@ -38,38 +38,50 @@ class TestProfile:
         )
 
     def test_single_tap(self):
-        prof = make_profile([0], [0.0])
+        prof = ChannelProfile([0], [0.0])
         np.testing.assert_allclose(prof.powers, [1.0])
         assert prof.max_delay == 0
 
     def test_equal_split(self):
-        prof = make_profile([0, 2], [-3.0, -3.0])
+        prof = ChannelProfile([0, 2], [-3.0, -3.0])
         np.testing.assert_allclose(prof.powers, [0.5, 0.5])
+
+    def test_stores_delays_and_normalized_powers_only(self):
+        prof = ChannelProfile((0, 3.0), (0.0, -10.0))
+        assert prof.delays.dtype == np.intp
+        np.testing.assert_array_equal(prof.delays, [0, 3])
+        np.testing.assert_allclose(prof.powers, [10 / 11, 1 / 11])
+        assert not hasattr(prof, "powers_db")
+        with pytest.raises(TypeError):
+            ChannelProfile([0], [0.0], powers=[1.0])
 
     @pytest.mark.parametrize("level", [-4000.0, 4000.0])
     def test_powers_far_from_0_db_stay_finite(self, level):
         # 10 ** (level / 10) underflows or overflows; the spacing is what counts
-        prof = make_profile([0, 2], [level, level])
+        prof = ChannelProfile([0, 2], [level, level])
         np.testing.assert_array_equal(prof.powers, [0.5, 0.5])
-        prof = make_profile([0, 2], [level, level - 4000.0])
+        prof = ChannelProfile([0, 2], [level, level - 4000.0])
         np.testing.assert_array_equal(prof.powers, [1.0, 0.0])
 
     def test_rejects_malformed(self):
-        with pytest.raises(ValueError):
-            make_profile([0, 1], [0.0])
-        with pytest.raises(ValueError):
-            make_profile([1, 2], [0.0, -3.0])
-        with pytest.raises(ValueError):
-            make_profile([0, 2, 1], [0.0, -1.0, -2.0])
-        with pytest.raises(ValueError):
-            make_profile([0, 0], [0.0, -1.0])
-        with pytest.raises(ValueError):
-            make_profile([0, 1.5], [0.0, -1.0])
+        # the constructor is the one way in, so a directly built profile is checked
+        for delays, powers_db in [
+            ([0, 1], [0.0]),                   # lengths differ
+            ([1, 2], [0.0, -3.0]),             # first tap not at 0
+            ([3, 1], [0.0, 0.0]),              # decreasing, first tap not at 0
+            ([0, 2, 1], [0.0, -1.0, -2.0]),    # decreasing
+            ([0, 0], [0.0, -1.0]),             # repeated
+            ([0, 1.5], [0.0, -1.0]),           # fractional
+            ([], []),                          # no tap
+        ]:
+            with pytest.raises(ValueError) as info:
+                ChannelProfile(delays, powers_db)
+            assert "\n" not in str(info.value), (delays, powers_db)
 
     @pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan])
     def test_rejects_non_finite_power(self, bad):
         with pytest.raises(ValueError, match="finite"):
-            make_profile([0, 3, 5], [0.0, bad, -17.0])
+            ChannelProfile([0, 3, 5], [0.0, bad, -17.0])
 
 
 class TestTaps:

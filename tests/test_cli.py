@@ -296,6 +296,14 @@ class TestSweep:
         assert proc.stdout == ""
         assert proc.stderr.count("\n") == 1 and "finite" in proc.stderr
 
+    def test_malformed_delays_fail_on_a_flat_channel(self):
+        # flat fading never reads the taps, but the config still checks them
+        proc = run_cli("sweep", "--channel", "flat", "--delays", "5,3", "--powers-db", "0",
+                       "--seed", "1")
+        assert proc.returncode == 2
+        assert proc.stdout == ""
+        assert proc.stderr == "error: delays and powers_db must be 1-D and equally long\n"
+
     def test_tap_powers_far_from_0_db_scale_out(self, tmp_path):
         # only the spacing of the powers counts, however far from 0 dB they sit
         outs = []

@@ -10,7 +10,6 @@ from ofdm_spm import (
     PowerPair,
     SubcarrierLayout,
     constellation_point,
-    default_layout,
     detection_threshold,
     map_bpsk,
     power_pair_for,
@@ -131,9 +130,27 @@ def _guard_bins(lay):
     return np.setdiff1d(np.arange(lay.fft_size), lay.data_bins)
 
 
+def _reference_data_bins(fft_size, n):
+    """The layout rule written as a guard list: DC first, then the other
+    guards split around the band edge, the odd one on the positive side."""
+    guards = fft_size - n
+    guard_bins = []
+    if guards >= 1:
+        guard_bins.append(0)
+        rest = guards - 1
+        upper = (rest + 1) // 2
+        lower = rest - upper
+        half = fft_size // 2
+        guard_bins.extend(range(half - upper + 1, half + 1))
+        guard_bins.extend(range(half + 1, half + 1 + lower))
+    data = np.ones(fft_size, dtype=bool)
+    data[guard_bins] = False
+    return np.flatnonzero(data)
+
+
 class TestLayout:
     def test_default_64_52(self):
-        lay = default_layout(64, 52)
+        lay = SubcarrierLayout(64, 52)
         assert lay.fft_size == 64
         assert lay.data_bins.size == 52
         np.testing.assert_array_equal(
@@ -146,7 +163,7 @@ class TestLayout:
 
     @pytest.mark.parametrize("n,d", [(8, 3), (16, 10), (64, 52), (128, 100), (256, 200)])
     def test_partition(self, n, d):
-        lay = default_layout(n, d)
+        lay = SubcarrierLayout(n, d)
         assert lay.n == d
         assert 0 in _guard_bins(lay)
         both = np.concatenate([lay.data_bins, _guard_bins(lay)])
@@ -154,22 +171,25 @@ class TestLayout:
 
     def test_guard_split_centered(self):
         # 8 guards besides DC: 4 ending at the band edge, 4 after it.
-        lay = default_layout(32, 23)
+        lay = SubcarrierLayout(32, 23)
         guards = set(_guard_bins(lay).tolist())
         assert guards == {0, 13, 14, 15, 16, 17, 18, 19, 20}
 
     def test_no_guards_uses_every_bin(self):
-        lay = default_layout(8, 8)
+        lay = SubcarrierLayout(8, 8)
         assert _guard_bins(lay).size == 0
         np.testing.assert_array_equal(lay.data_bins, np.arange(8))
 
     def test_rejects_bad_counts(self):
         with pytest.raises(ValueError):
-            default_layout(64, 65)
+            SubcarrierLayout(64, 65)
         with pytest.raises(ValueError):
-            default_layout(64, 0)
+            SubcarrierLayout(64, 0)
 
-    @pytest.mark.parametrize("bins", [[1, 1, 2], [0, 8], [-1, 3]])
-    def test_type_rejects_repeated_or_outside_bins(self, bins):
-        with pytest.raises(ValueError):
-            SubcarrierLayout(fft_size=8, data_bins=bins)
+    def test_every_size_matches_the_guard_list(self):
+        for fft_size in range(1, 257):
+            for n in range(1, fft_size + 1):
+                bins = SubcarrierLayout(fft_size, n).data_bins
+                expected = _reference_data_bins(fft_size, n)
+                assert bins.dtype == expected.dtype, (fft_size, n)
+                assert np.array_equal(bins, expected), (fft_size, n)

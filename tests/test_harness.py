@@ -19,8 +19,6 @@ from ofdm_spm import (
     rayleigh_bpsk_ber,
     reference_pair,
     run_baseline_ofdm_bpsk,
-    run_baseline_point,
-    run_point,
     run_sweep,
     scan_levels,
     write_csv,
@@ -29,6 +27,16 @@ from ofdm_spm import harness, rx
 from ofdm_spm.harness import CHANNEL_MODES
 
 INF = float("inf")
+
+
+def _point(cfg, snr_db, run=run_sweep):
+    """The one-row sweep at snr_db, which is what simulate runs."""
+    (record,) = run(dataclasses.replace(cfg, snr_db_grid=(snr_db,)))
+    return record
+
+
+def _baseline_point(cfg, snr_db):
+    return _point(cfg, snr_db, run_baseline_ofdm_bpsk)
 
 
 def _tiny(**kw):
@@ -95,7 +103,7 @@ class TestConfigValidation:
 
     def test_numpy_integers_accepted(self):
         cfg = SimConfig(ofdm_symbols=np.int64(10), master_seed=np.uint32(3))
-        assert run_point(cfg, 10.0).bits_counted == 2 * 52 * 10
+        assert _point(cfg, 10.0).bits_counted == 2 * 52 * 10
 
     def test_delay_spread_must_fit_the_fft(self):
         too_long = dict(fft_size=8, data_subcarriers=6, delays=(0, 3, 5, 6, 8))
@@ -103,6 +111,13 @@ class TestConfigValidation:
             SimConfig(**too_long, channel_mode="multipath")
         # The same sizes are fine when the channel has no memory.
         SimConfig(**too_long, channel_mode="flat")
+
+    @pytest.mark.parametrize("channel_mode", CHANNEL_MODES)
+    def test_malformed_delays_rejected_on_every_mode(self, channel_mode):
+        # the profile is built on every mode, so flat and identity check it too
+        with pytest.raises(ValueError) as info:
+            SimConfig(channel_mode=channel_mode, delays=(5, 3), powers_db=(0.0,))
+        assert str(info.value) == "delays and powers_db must be 1-D and equally long"
 
     def test_default_high_factor_follows_policy(self):
         assert SimConfig(policy=Policy.REALLOC_OPTIMIZED).pair().high == 1.918
@@ -165,30 +180,30 @@ class TestNoiselessLoopback:
         [Policy.POWER_SAVING, Policy.REALLOC_NON_OPTIMIZED, Policy.REALLOC_OPTIMIZED],
     )
     def test_identity_channel(self, policy):
-        rec = run_point(_tiny(policy=policy), INF)
+        rec = _point(_tiny(policy=policy), INF)
         assert rec.ber_power_sim == 0.0
         assert rec.ber_bpsk_sim == 0.0
         assert rec.throughput == 2.0
         assert rec.ber_total_theory == 0.0
 
     def test_identity_baseline(self):
-        rec = run_baseline_point(_tiny(), INF)
+        rec = _baseline_point(_tiny(), INF)
         assert rec.ber_bpsk_sim == 0.0
         assert math.isnan(rec.ber_power_sim)
         assert rec.throughput == 1.0
 
     def test_multipath_channel(self):
         cfg = _tiny(channel_mode="multipath", coherence_block=7, ofdm_symbols=500)
-        rec = run_point(cfg, INF)
+        rec = _point(cfg, INF)
         assert rec.ber_total_sim == 0.0
 
     def test_flat_channel(self):
-        rec = run_point(_tiny(channel_mode="flat"), INF)
+        rec = _point(_tiny(channel_mode="flat"), INF)
         assert rec.ber_total_sim == 0.0
 
     def test_fft_size_above_4096(self):
         cfg = _tiny(fft_size=8192, data_subcarriers=6000, ofdm_symbols=4)
-        rec = run_point(cfg, INF)
+        rec = _point(cfg, INF)
         assert rec.bits_counted == 2 * 6000 * 4
         assert rec.ber_total_sim == 0.0
 
@@ -196,21 +211,21 @@ class TestNoiselessLoopback:
         # a floor above |H| = 1 erases every bin: each decision is (0, 0),
         # so about half the bits of either stream are wrong, noise or not
         monkeypatch.setattr(rx, "GAIN_FLOOR", 2.0)
-        rec = run_point(_tiny(), INF)
+        rec = _point(_tiny(), INF)
         assert 0.45 < rec.ber_power_sim < 0.55 and 0.45 < rec.ber_bpsk_sim < 0.55
-        assert 0.45 < run_baseline_point(_tiny(), INF).ber_bpsk_sim < 0.55
+        assert 0.45 < _baseline_point(_tiny(), INF).ber_bpsk_sim < 0.55
 
 
 class TestDeterminism:
     def test_point_repeatable(self):
         cfg = _tiny(channel_mode="flat", ofdm_symbols=1000)
-        a = run_point(cfg, 10.0)
-        b = run_point(cfg, 10.0)
+        a = _point(cfg, 10.0)
+        b = _point(cfg, 10.0)
         assert a == b
 
     def test_seed_changes_stream(self):
-        a = run_point(_tiny(channel_mode="flat", ofdm_symbols=1000, master_seed=1), 10.0)
-        b = run_point(_tiny(channel_mode="flat", ofdm_symbols=1000, master_seed=2), 10.0)
+        a = _point(_tiny(channel_mode="flat", ofdm_symbols=1000, master_seed=1), 10.0)
+        b = _point(_tiny(channel_mode="flat", ofdm_symbols=1000, master_seed=2), 10.0)
         assert a.ber_total_sim != b.ber_total_sim
 
     @pytest.mark.parametrize("channel_mode", CHANNEL_MODES)
@@ -221,8 +236,8 @@ class TestDeterminism:
         sweep, baseline = run_sweep(cfg), run_baseline_ofdm_bpsk(cfg)
         assert [r.snr_db for r in sweep] == [5.0, 10.0, 15.0, INF]
         for i, s in enumerate(cfg.snr_db_grid):
-            assert run_point(cfg, s) == sweep[i]
-            assert run_baseline_point(cfg, s) == baseline[i]  # the NaN cells are math.nan
+            assert _point(cfg, s) == sweep[i]
+            assert _baseline_point(cfg, s) == baseline[i]  # the NaN cells are math.nan
 
     def test_worker_count_does_not_change_results(self):
         small = dict(
@@ -259,12 +274,12 @@ class TestDeterminism:
 
         monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", InlinePool)
         small = dict(channel_mode="flat", ofdm_symbols=symbols, batch_symbols=256, master_seed=9)
-        assert run_point(SimConfig(workers=8, **small), 10.0) == run_point(SimConfig(**small), 10.0)
+        assert _point(SimConfig(workers=8, **small), 10.0) == _point(SimConfig(**small), 10.0)
         assert pools == started
 
     def test_partial_last_batch_counts_all_bits(self):
         cfg = _tiny(channel_mode="flat", ofdm_symbols=1500, batch_symbols=1024)
-        rec = run_point(cfg, 10.0)
+        rec = _point(cfg, 10.0)
         assert rec.bits_counted == 2 * 52 * 1500
         errors = rec.ber_power_sim * rec.bits_counted / 2
         assert errors == pytest.approx(round(errors), abs=1e-6)
@@ -275,7 +290,7 @@ class TestAccuracy:
         cfg = SimConfig(
             channel_mode="flat", ofdm_symbols=20_000, snr_db_grid=(10.0,), master_seed=7
         )
-        rec = run_point(cfg, 10.0)
+        rec = _point(cfg, 10.0)
         bd = ber_breakdown(10.0**1.0, cfg.pair())
         n_bits = 52 * 20_000
         for sim, theory in [(rec.ber_power_sim, bd.ber_power), (rec.ber_bpsk_sim, bd.ber_bpsk)]:
@@ -286,14 +301,14 @@ class TestAccuracy:
         cfg = SimConfig(
             channel_mode="flat", ofdm_symbols=20_000, snr_db_grid=(10.0,), master_seed=8
         )
-        rec = run_baseline_point(cfg, 10.0)
+        rec = _baseline_point(cfg, 10.0)
         theory = rayleigh_bpsk_ber(10.0)
         sigma = math.sqrt(theory * (1 - theory) / (52 * 20_000))
         assert abs(rec.ber_bpsk_sim - theory) < 3 * sigma
 
     def test_theory_columns_match_analysis(self):
         cfg = _tiny(channel_mode="flat", ofdm_symbols=100)
-        rec = run_point(cfg, 10.0)
+        rec = _point(cfg, 10.0)
         bd = ber_breakdown(10.0, cfg.pair())
         assert rec.ber_power_theory == pytest.approx(bd.ber_power, abs=1e-15)
         assert rec.ber_bpsk_theory == pytest.approx(bd.ber_bpsk, abs=1e-15)
@@ -304,7 +319,7 @@ class TestAccuracy:
     def test_per_bit_theory_shifts_axis(self):
         # Saving budget 2 at 10 dB per-bit equals 13.01 dB per-subcarrier.
         cfg = _tiny(snr_convention="per_bit")
-        rec = run_point(cfg, 10.0)
+        rec = _point(cfg, 10.0)
         pair = cfg.pair()
         snr_eff = 1.0 / cfg.noise_density(10.0, pair)
         assert snr_eff == pytest.approx(20.0)
@@ -313,7 +328,7 @@ class TestAccuracy:
         )
 
     def test_record_internal_consistency(self):
-        rec = run_point(_tiny(channel_mode="flat", ofdm_symbols=800), 5.0)
+        rec = _point(_tiny(channel_mode="flat", ofdm_symbols=800), 5.0)
         assert rec.ber_total_sim == pytest.approx(
             0.5 * (rec.ber_power_sim + rec.ber_bpsk_sim), abs=1e-15
         )
@@ -323,7 +338,7 @@ class TestAccuracy:
         assert rec.seed == 0
 
     def test_baseline_record_shape(self):
-        rec = run_baseline_point(_tiny(channel_mode="flat", ofdm_symbols=800), 5.0)
+        rec = _baseline_point(_tiny(channel_mode="flat", ofdm_symbols=800), 5.0)
         assert math.isnan(rec.ber_power_sim)
         assert math.isnan(rec.ber_power_theory)
         assert rec.bits_counted == 52 * 800  # no power bits
@@ -348,7 +363,7 @@ class TestCsv:
         assert int(row[9]) == 0
 
     def test_baseline_nan_cells(self):
-        rec = run_baseline_point(_tiny(ofdm_symbols=50), 10.0)
+        rec = _baseline_point(_tiny(ofdm_symbols=50), 10.0)
         buf = io.StringIO()
         write_csv([rec], buf)
         row = buf.getvalue().split("\n")[1].split(",")

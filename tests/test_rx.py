@@ -8,8 +8,8 @@ import pytest
 from ofdm_spm import (
     Policy,
     SimConfig,
+    SubcarrierLayout,
     constellation_point,
-    default_layout,
     detect_bpsk_bit,
     detect_power_bit,
     detection_threshold,
@@ -41,7 +41,7 @@ def _receive(samples, gains, pair, lay, cp_len):
 
 class TestDemodulate:
     def test_round_trip(self):
-        lay = default_layout(64, 52)
+        lay = SubcarrierLayout(64, 52)
         pair = power_pair_for(Policy.POWER_SAVING, 1.35)
         bits = _random_bits(np.random.default_rng(80), 20)
         points = constellation_point(bits[0], bits[1], pair)
@@ -50,7 +50,7 @@ class TestDemodulate:
         np.testing.assert_allclose(back, points, atol=1e-12)
 
     def test_length_checked(self):
-        lay = default_layout(64, 52)
+        lay = SubcarrierLayout(64, 52)
         with pytest.raises(ValueError):
             ofdm_demodulate(np.zeros(70, dtype=complex), lay, 16)
         with pytest.raises(ValueError):
@@ -161,7 +161,7 @@ class TestFullReceiver:
         ],
     )
     def test_noiseless_identity_loopback(self, policy, factor):
-        lay = default_layout(64, 52)
+        lay = SubcarrierLayout(64, 52)
         pair = power_pair_for(policy, factor)
         bits = _random_bits(np.random.default_rng(88), 10)
         samples = ofdm_modulate(constellation_point(bits[0], bits[1], pair), lay, 16)
@@ -169,7 +169,7 @@ class TestFullReceiver:
 
     def test_noiseless_multipath_loopback(self):
         # CP covers the delay spread, so equalization is exact.
-        lay = default_layout(64, 52)
+        lay = SubcarrierLayout(64, 52)
         pair = power_pair_for(Policy.POWER_SAVING, 1.35)
         rng = np.random.default_rng(89)
         bits = _random_bits(rng, 10)
@@ -180,7 +180,7 @@ class TestFullReceiver:
         np.testing.assert_array_equal(out, bits)
 
     def test_overwhelming_noise_gives_coin_flip_ber(self):
-        lay = default_layout(64, 52)
+        lay = SubcarrierLayout(64, 52)
         pair = power_pair_for(Policy.POWER_SAVING, 1.35)
         rng = np.random.default_rng(90)
         bits = _random_bits(rng, 2000)

@@ -10,7 +10,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from ofdm_spm import default_layout, ofdm_demodulate, ofdm_modulate
+from ofdm_spm import SubcarrierLayout, ofdm_demodulate, ofdm_modulate
 
 
 def direct_dft(x, inverse=False):
@@ -30,13 +30,13 @@ def direct_dft(x, inverse=False):
 def idft(x):
     """ofdm_modulate over an all-data layout with no cyclic prefix."""
     n = np.shape(x)[-1]
-    return ofdm_modulate(x, default_layout(n, n), 0)
+    return ofdm_modulate(x, SubcarrierLayout(n, n), 0)
 
 
 def dft(x):
     """ofdm_demodulate over an all-data layout with no cyclic prefix."""
     n = np.shape(x)[-1]
-    return ofdm_demodulate(x, default_layout(n, n), 0)
+    return ofdm_demodulate(x, SubcarrierLayout(n, n), 0)
 
 
 @pytest.mark.parametrize("n", [1, 2, 4, 8, 16, 64, 256])
@@ -92,7 +92,7 @@ def test_batched_rows_match_single_calls():
 
 
 def test_rejects_bad_sizes():
-    full = default_layout(64, 64)
+    full = SubcarrierLayout(64, 64)
     with pytest.raises(ValueError):
         ofdm_modulate(np.zeros(48, dtype=complex), full, 0)
     with pytest.raises(ValueError):

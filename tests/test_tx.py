@@ -8,8 +8,8 @@ import pytest
 from ofdm_spm import (
     Policy,
     PowerPair,
+    SubcarrierLayout,
     constellation_point,
-    default_layout,
     ofdm_modulate,
     power_pair_for,
 )
@@ -28,7 +28,7 @@ def _grid(samples, cp_len=0):
 class TestAssemble:
     def test_toy_grid(self):
         # fft 4, data on bins 1 and 3, guards on 0 and 2
-        lay = default_layout(4, 2)
+        lay = SubcarrierLayout(4, 2)
         np.testing.assert_array_equal(lay.data_bins, [1, 3])
         pair = PowerPair(low=0.5, high=np.sqrt(1.75), budget=2.0)
         points = constellation_point([1, 0], [1, 1], pair)
@@ -39,7 +39,7 @@ class TestAssemble:
         )
 
     def test_guards_stay_zero(self):
-        lay = default_layout(64, 52)
+        lay = SubcarrierLayout(64, 52)
         pair = power_pair_for(Policy.POWER_SAVING, 1.35)
         points = _random_points(np.random.default_rng(70), pair)
         grid = _grid(ofdm_modulate(points, lay, 16), 16)
@@ -49,14 +49,14 @@ class TestAssemble:
         assert np.all(np.abs(grid[lay.data_bins]) > 0.4)
 
     def test_frame_size_checked(self):
-        lay = default_layout(64, 52)
+        lay = SubcarrierLayout(64, 52)
         with pytest.raises(ValueError):
             ofdm_modulate(np.ones(2), lay, 16)
         with pytest.raises(ValueError):
             ofdm_modulate(np.ones((3, 53)), lay, 16)
 
     def test_mean_grid_energy_is_half_budget_per_subcarrier(self):
-        lay = default_layout(64, 52)
+        lay = SubcarrierLayout(64, 52)
         pair = power_pair_for(Policy.REALLOC_OPTIMIZED, 1.918)
         frames = 400
         points = _random_points(np.random.default_rng(71), pair, (frames, 52))
@@ -68,32 +68,32 @@ class TestAssemble:
 class TestModulate:
     def test_dc_only_grid(self):
         # Energy only on bin 0 gives a constant time signal of 1/sqrt(N) scale.
-        lay = default_layout(4, 4)
+        lay = SubcarrierLayout(4, 4)
         samples = ofdm_modulate(np.array([0.5, 0, 0, 0], dtype=complex), lay, 0)
         np.testing.assert_allclose(samples, np.full(4, 0.25), atol=1e-15)
 
     def test_cp_is_tail_copy(self):
-        lay = default_layout(64, 52)
+        lay = SubcarrierLayout(64, 52)
         pair = power_pair_for(Policy.POWER_SAVING, 1.35)
         samples = ofdm_modulate(_random_points(np.random.default_rng(72), pair), lay, 16)
         assert samples.shape == (80,)
         np.testing.assert_array_equal(samples[:16], samples[64:])
 
     def test_zero_cp(self):
-        lay = default_layout(64, 52)
+        lay = SubcarrierLayout(64, 52)
         pair = power_pair_for(Policy.POWER_SAVING, 1.35)
         points = constellation_point(np.zeros(52), np.zeros(52), pair)
         assert ofdm_modulate(points, lay, 0).shape == (64,)
 
     def test_energy_preserved(self):
-        lay = default_layout(64, 52)
+        lay = SubcarrierLayout(64, 52)
         pair = power_pair_for(Policy.REALLOC_NON_OPTIMIZED, 1.732)
         points = _random_points(np.random.default_rng(73), pair)
         samples = ofdm_modulate(points, lay, 0)
         assert np.sum(np.abs(samples) ** 2) == pytest.approx(np.sum(np.abs(points) ** 2))
 
     def test_cp_bounds_checked(self):
-        lay = default_layout(64, 52)
+        lay = SubcarrierLayout(64, 52)
         points = np.ones(52)
         with pytest.raises(ValueError):
             ofdm_modulate(points, lay, 64)
