@@ -36,7 +36,12 @@ class ChannelProfile:
             raise ValueError("profile needs at least one tap")
         if not np.isfinite(p_db).all():
             raise ValueError(f"powers_db must be finite, got {tuple(p_db.tolist())}")
-        if not np.issubdtype(d.dtype, np.integer) and not np.all(d == np.round(d)):
+        # Python floats overflow to inf quietly, where numpy's would warn
+        if np.isinf(p_db.max().item() - p_db.min().item()):
+            raise ValueError(f"powers_db spread overflows, got {tuple(p_db.tolist())}")
+        # numeric, whole and well inside intp, so the cast neither warns nor wraps
+        if d.dtype.kind not in "iuf" or not np.all(
+                (-2**62 < d) & (d < 2**62) & (d == np.round(d))):
             raise ValueError("delays must be integer sample offsets")
         d = d.astype(np.intp)
         if d[0] != 0:

@@ -28,12 +28,9 @@ from .optimize import mean_ber_objective, scan_levels
 THEORY_COLUMNS = ("snr_db", *(f.name for f in dataclasses.fields(BerBreakdown)), "throughput")
 
 
-def _floats(text: str) -> tuple:
-    return tuple(float(part) for part in text.split(",") if part.strip())
-
-
-def _ints(text: str) -> tuple:
-    return tuple(int(part) for part in text.split(",") if part.strip())
+def _comma_list(parse):
+    """A parser of comma-separated text into a tuple of parse(part)."""
+    return lambda text: tuple(parse(part) for part in text.split(",") if part.strip())
 
 
 def _policy(text: str) -> Policy:
@@ -56,28 +53,6 @@ def _parse(parse, text, where: str):
         raise ValueError(f"{where}: {exc}") from None
 
 
-# SimConfig field -> (command-line flag, text parser, help); the config
-# file reads the same field names as keys. Flag and key text go through
-# the same parser, so a bad value gives the same one-line error from both.
-OPTIONS = {
-    "fft_size": ("--fft-size", int, None),
-    "data_subcarriers": ("--data-subcarriers", int, None),
-    "ofdm_symbols": ("--symbols", int, "OFDM symbols per SNR point"),
-    "policy": ("--policy", _policy, " | ".join(p.value for p in Policy)),
-    # the word "auto" is resolved by _build_config
-    "high_factor": ("--high", _high, "high level H, or 'auto' to pick it by scan"),
-    "snr_db_grid": ("--snr-grid", _floats, "comma-separated dB values"),
-    "channel_mode": ("--channel", str, " | ".join(CHANNEL_MODES)),
-    "delays": ("--delays", _ints, "comma-separated tap delays in samples"),
-    "powers_db": ("--powers-db", _floats, "comma-separated tap powers in dB"),
-    "coherence_block": ("--coherence-block", int, "OFDM symbols per channel realization"),
-    "master_seed": ("--seed", int, "master seed for reproducible runs"),
-    "snr_convention": ("--snr-convention", str, " | ".join(SNR_CONVENTIONS)),
-    "batch_symbols": ("--batch-symbols", int, None),
-    "workers": ("--workers", int, None),
-}
-
-
 def _load_config_file(path: str) -> dict:
     values = {}
     with open(path) as handle:
@@ -93,13 +68,6 @@ def _load_config_file(path: str) -> dict:
                 raise ValueError(f"{path}:{lineno}: unknown key {key!r}")
             values[key] = _parse(OPTIONS[key][1], text.strip(), f"{path}:{lineno}: {key}")
     return values
-
-
-def _add_common_options(parser: argparse.ArgumentParser):
-    parser.add_argument("--config", help="flat key = value config file")
-    for name, (flag, _, text) in OPTIONS.items():
-        parser.add_argument(flag, dest=name, help=text)
-    parser.add_argument("--out", help="output CSV path (default: stdout)")
 
 
 def _build_config(args, needs_seed: bool = False) -> SimConfig:
@@ -125,41 +93,36 @@ def _build_config(args, needs_seed: bool = False) -> SimConfig:
     return cfg
 
 
-def _cmd_theory(args) -> int:
+def _cmd_theory(args):
     cfg = _build_config(args)
     pair = cfg.pair()
     bd = ber_breakdown([cfg.detector_snr(snr_db, pair) for snr_db in cfg.snr_db_grid], pair)
     tp = throughput(bd.ber_power, bd.ber_bpsk)
     columns = (cfg.snr_db_grid, *dataclasses.astuple(bd), tp)
     write_table(args.out or sys.stdout, THEORY_COLUMNS, zip(*columns))
-    return 0
 
 
-# how each simulation command turns its config into sweep records
-_RECORDS = {
-    "simulate": lambda cfg, args: run_sweep(
-        dataclasses.replace(cfg, snr_db_grid=(_parse(float, args.snr, "--snr"),))),
-    "sweep": lambda cfg, args: run_sweep(cfg),
-    "baseline": lambda cfg, args: run_baseline_ofdm_bpsk(cfg),
-}
-
-
-def _cmd_records(args) -> int:
+def _cmd_simulate(args):
     cfg = _build_config(args, needs_seed=True)
-    records = _RECORDS[args.command](cfg, args)
-    write_csv(records, args.out or sys.stdout)
-    return 0
+    snr = _parse(float, args.snr, "--snr")
+    write_csv(run_sweep(dataclasses.replace(cfg, snr_db_grid=(snr,))), args.out or sys.stdout)
 
 
-def _cmd_optimize(args) -> int:
+def _cmd_sweep(args):
+    write_csv(run_sweep(_build_config(args, needs_seed=True)), args.out or sys.stdout)
+
+
+def _cmd_baseline(args):
+    write_csv(run_baseline_ofdm_bpsk(_build_config(args, needs_seed=True)),
+              args.out or sys.stdout)
+
+
+def _cmd_optimize(args):
     h_start = _parse(float, args.h_start, "--h-start")
     h_step = _parse(float, args.h_step, "--h-step")
     monte_carlo = args.objective == "monte_carlo"
     cfg = _build_config(args, needs_seed=monte_carlo)
-    if monte_carlo:
-        objective = monte_carlo_objective(cfg)
-    else:
-        objective = mean_ber_objective(cfg)
+    objective = (monte_carlo_objective if monte_carlo else mean_ber_objective)(cfg)
     result = scan_levels(cfg.policy, objective, h_start=h_start, h_step=h_step)
     if args.out:
         trace = zip(result.trace_high, result.trace_low, result.trace_objective)
@@ -168,51 +131,71 @@ def _cmd_optimize(args) -> int:
         f"policy={cfg.policy.value} low={result.pair.low!r} "
         f"high={result.pair.high!r} objective={result.objective!r}"
     )
-    return 0
+
+
+# SimConfig field -> (command-line flag, text parser, help); the config
+# file reads the same field names as keys. Flag and key text go through
+# the same parser, so a bad value gives the same one-line error from both.
+OPTIONS = {
+    "fft_size": ("--fft-size", int, None),
+    "data_subcarriers": ("--data-subcarriers", int, None),
+    "ofdm_symbols": ("--symbols", int, "OFDM symbols per SNR point"),
+    "policy": ("--policy", _policy, " | ".join(p.value for p in Policy)),
+    # the word "auto" is resolved by _build_config
+    "high_factor": ("--high", _high, "high level H, or 'auto' to pick it by scan"),
+    "snr_db_grid": ("--snr-grid", _comma_list(float), "comma-separated dB values"),
+    "channel_mode": ("--channel", str, " | ".join(CHANNEL_MODES)),
+    "delays": ("--delays", _comma_list(int), "comma-separated tap delays in samples"),
+    "powers_db": ("--powers-db", _comma_list(float), "comma-separated tap powers in dB"),
+    "coherence_block": ("--coherence-block", int, "OFDM symbols per channel realization"),
+    "master_seed": ("--seed", int, "master seed for reproducible runs"),
+    "snr_convention": ("--snr-convention", str, " | ".join(SNR_CONVENTIONS)),
+    "batch_symbols": ("--batch-symbols", int, None),
+    "workers": ("--workers", int, None),
+}
+
+# subcommand -> (help, handler, {flag: add_argument keywords} of the flags
+# only it takes), after --config, the OPTIONS flags and --out, which all take
+COMMANDS = {
+    "theory": ("closed-form BER/throughput curves", _cmd_theory, {}),
+    "simulate": ("Monte-Carlo at a single SNR", _cmd_simulate,
+                 {"--snr": dict(required=True, help="SNR point in dB")}),
+    "sweep": ("Monte-Carlo over the SNR grid", _cmd_sweep, {}),
+    "baseline": ("plain OFDM-BPSK reference sweep", _cmd_baseline, {}),
+    "optimize": ("scan H for the best (L, H) pair", _cmd_optimize, {
+        "--h-start": dict(default=1.05),
+        "--h-step": dict(default=0.01),
+        "--objective": dict(choices=("closed_form", "monte_carlo"), default="closed_form"),
+    }),
+}
 
 
 def _build_parser() -> argparse.ArgumentParser:
+    common = argparse.ArgumentParser(add_help=False)
+    common.add_argument("--config", help="flat key = value config file")
+    for name, (flag, _, text) in OPTIONS.items():
+        common.add_argument(flag, dest=name, help=text)
+    common.add_argument("--out", help="output CSV path (default: stdout)")
     parser = argparse.ArgumentParser(
         prog="ofdm-spm",
         description="OFDM subcarrier power modulation: closed forms and Monte-Carlo",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("theory", help="closed-form BER/throughput curves")
-    _add_common_options(p)
-    p.set_defaults(func=_cmd_theory)
-
-    p = sub.add_parser("simulate", help="Monte-Carlo at a single SNR")
-    _add_common_options(p)
-    p.add_argument("--snr", required=True, help="SNR point in dB")
-    p.set_defaults(func=_cmd_records)
-
-    p = sub.add_parser("sweep", help="Monte-Carlo over the SNR grid")
-    _add_common_options(p)
-    p.set_defaults(func=_cmd_records)
-
-    p = sub.add_parser("baseline", help="plain OFDM-BPSK reference sweep")
-    _add_common_options(p)
-    p.set_defaults(func=_cmd_records)
-
-    p = sub.add_parser("optimize", help="scan H for the best (L, H) pair")
-    _add_common_options(p)
-    p.add_argument("--h-start", default=1.05)
-    p.add_argument("--h-step", default=0.01)
-    p.add_argument("--objective", choices=("closed_form", "monte_carlo"),
-                   default="closed_form")
-    p.set_defaults(func=_cmd_optimize)
-
+    for command, (text, _, flags) in COMMANDS.items():
+        p = sub.add_parser(command, help=text, parents=[common])
+        for flag, keywords in flags.items():
+            p.add_argument(flag, **keywords)
     return parser
 
 
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
-        return args.func(args)
+        COMMANDS[args.command][1](args)
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    return 0
 
 
 if __name__ == "__main__":

@@ -37,6 +37,10 @@ from .rx import detect_bpsk_bit, detect_power_bit
 
 CHANNEL_MODES = ("multipath", "flat", "identity")
 SNR_CONVENTIONS = ("subcarrier", "per_bit")
+# SimConfig's count fields with their least value, and its word fields with their choices
+_LOWER_BOUNDS = {"ofdm_symbols": 1, "coherence_block": 1, "batch_symbols": 1, "workers": 1,
+                 "master_seed": 0}
+_CHOICES = {"channel_mode": CHANNEL_MODES, "snr_convention": SNR_CONVENTIONS}
 
 
 def _linear_snr(snr_db: float) -> float:
@@ -99,29 +103,16 @@ class SimConfig:
             raise ValueError(f"fft_size must be a power of two >= 2, got {n}")
         if not 1 <= self.data_subcarriers <= n:
             raise ValueError(f"data_subcarriers out of range: {self.data_subcarriers}")
-        if self.ofdm_symbols < 1:
-            raise ValueError("ofdm_symbols must be positive")
+        for name, low in _LOWER_BOUNDS.items():
+            if (value := getattr(self, name)) < low:
+                raise ValueError(f"{name} must be >= {low}, got {value}")
+        for name, choices in _CHOICES.items():
+            if (value := getattr(self, name)) not in choices:
+                raise ValueError(f"{name} must be one of {choices}, got {value!r}")
         if len(self.snr_db_grid) == 0:
             raise ValueError("snr_db_grid must not be empty")
         for snr_db in self.snr_db_grid:
             _linear_snr(snr_db)
-        if self.channel_mode not in CHANNEL_MODES:
-            raise ValueError(
-                f"channel_mode must be one of {CHANNEL_MODES}, got {self.channel_mode!r}"
-            )
-        if self.snr_convention not in SNR_CONVENTIONS:
-            raise ValueError(
-                f"snr_convention must be one of {SNR_CONVENTIONS}, "
-                f"got {self.snr_convention!r}"
-            )
-        if self.coherence_block < 1:
-            raise ValueError("coherence_block must be >= 1")
-        if self.batch_symbols < 1:
-            raise ValueError("batch_symbols must be >= 1")
-        if self.workers < 1:
-            raise ValueError("workers must be >= 1")
-        if self.master_seed < 0:
-            raise ValueError("master_seed must be a nonnegative integer")
         spread = self.profile().max_delay  # validates delays/powers on every mode
         if self.channel_mode == "multipath" and spread >= n:
             raise ValueError(f"delay spread {spread} does not fit an FFT of size {n}")
@@ -195,10 +186,10 @@ def _batch_rng(master_seed: int, batch_index: int):
 
 
 def _expand_blocks(per_block, block: int, count: int):
-    """Repeat each block-fading draw over its coherence block of symbols."""
+    """Repeat each block-fading draw over its coherence block, count rows in all."""
     if block == 1:
         return per_block[:count]
-    return np.repeat(per_block, block, axis=0)[:count]
+    return per_block[np.arange(count) // block]
 
 
 def _draws(cfg: SimConfig, streams: int, batch):

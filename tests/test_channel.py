@@ -83,6 +83,30 @@ class TestProfile:
         with pytest.raises(ValueError, match="finite"):
             ChannelProfile([0, 3, 5], [0.0, bad, -17.0])
 
+    @pytest.mark.parametrize(
+        "delays",
+        [[0, 10**20], ["0", "1"], [0, 1e20], [0, np.inf], [0, np.nan], [0, -1e20],
+         np.array([0, 5, -2**63]), np.array([0, 2**63 + 5], dtype=np.uint64), [False, True]],
+        ids=["int-past-int64", "text", "float-past-intp", "inf", "nan", "negative-past-intp",
+             "int64-min", "uint64-past-int64", "bool"],
+    )
+    def test_rejects_delays_that_are_not_intp_offsets(self, delays):
+        # checked before the cast to intp, which would raise TypeError, warn or wrap
+        with pytest.raises(ValueError, match=r"^delays must be integer sample offsets$"):
+            ChannelProfile(delays, [0.0] * len(delays))
+
+    @pytest.mark.parametrize("delays", [[0, 3], [0.0, 3.0], np.array([0, 3], dtype=np.uint8)])
+    def test_whole_numeric_delays_accepted(self, delays):
+        prof = ChannelProfile(delays, [0.0, 0.0])
+        assert prof.delays.dtype == np.intp
+        np.testing.assert_array_equal(prof.delays, [0, 3])
+
+    def test_rejects_a_power_spread_that_overflows(self):
+        # 1e308 - (-1e308) is inf, which would give the second tap power 0
+        with pytest.raises(ValueError,
+                           match=r"^powers_db spread overflows, got \(1e\+308, -1e\+308\)$"):
+            ChannelProfile([0, 1], [1e308, -1e308])
+
 
 class TestTaps:
     def test_shape_and_sparsity(self):

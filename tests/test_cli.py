@@ -26,7 +26,14 @@ from ofdm_spm import (
     write_csv,
 )
 from ofdm_spm import cli, harness
-from ofdm_spm.cli import OPTIONS, THEORY_COLUMNS, _build_config, _build_parser, main
+from ofdm_spm.cli import (
+    COMMANDS,
+    OPTIONS,
+    THEORY_COLUMNS,
+    _build_config,
+    _build_parser,
+    main,
+)
 from ofdm_spm.harness import CSV_COLUMNS
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -304,6 +311,20 @@ class TestSweep:
         assert proc.stdout == ""
         assert proc.stderr == "error: delays and powers_db must be 1-D and equally long\n"
 
+    @pytest.mark.parametrize(
+        "flags, message",
+        [(("--delays", "0,100000000000000000000", "--powers-db", "0,0"),
+          "delays must be integer sample offsets"),
+         (("--powers-db", "1e308,-1e308", "--delays", "0,1"),
+          "powers_db spread overflows, got (1e+308, -1e+308)")],
+        ids=["delay-past-int64", "power-spread-overflows"],
+    )
+    def test_out_of_range_profile_fails_cleanly(self, flags, message):
+        proc = run_cli("sweep", *flags, "--symbols", "10", "--seed", "1")
+        assert proc.returncode == 2
+        assert proc.stdout == ""
+        assert proc.stderr == f"error: {message}\n"
+
     def test_tap_powers_far_from_0_db_scale_out(self, tmp_path):
         # only the spacing of the powers counts, however far from 0 dB they sit
         outs = []
@@ -451,7 +472,69 @@ OPTION_SAMPLES = {
 }
 
 
+# a valid value for every flag that only some commands take
+COMMAND_FLAG_SAMPLES = {
+    "--snr": "12.5",
+    "--h-start": "1.2",
+    "--h-step": "0.05",
+    "--objective": "monte_carlo",
+}
+
+
 class TestOptionTable:
+    def test_commands(self):
+        assert list(COMMANDS) == ["theory", "simulate", "sweep", "baseline", "optimize"]
+        assert {flag for _, _, flags in COMMANDS.values() for flag in flags} == set(
+            COMMAND_FLAG_SAMPLES)
+
+    @pytest.mark.parametrize("command", COMMANDS)
+    def test_every_command_parses_the_common_and_its_own_flags(self, command):
+        own = COMMANDS[command][2]
+        argv = [command, "--config", "run.cfg", "--out", "out.csv"]
+        for name, (flag, _, _) in OPTIONS.items():
+            argv += [flag, OPTION_SAMPLES[name]]
+        for flag in own:
+            argv += [flag, COMMAND_FLAG_SAMPLES[flag]]
+        args = vars(_build_parser().parse_args(argv))
+        assert args.pop("command") == command
+        assert args.pop("config") == "run.cfg" and args.pop("out") == "out.csv"
+        assert {name: args.pop(name) for name in OPTIONS} == OPTION_SAMPLES
+        assert {"--" + dest.replace("_", "-"): text for dest, text in args.items()} == {
+            flag: COMMAND_FLAG_SAMPLES[flag] for flag in own}
+
+    @pytest.mark.parametrize("command", COMMANDS)
+    def test_other_commands_flags_are_refused(self, command, capsys):
+        # --snr elsewhere is an ambiguous prefix, the others unrecognized: both exit 2
+        own = [text for flag in COMMANDS[command][2]
+               for text in (flag, COMMAND_FLAG_SAMPLES[flag])]
+        for flag in set(COMMAND_FLAG_SAMPLES) - set(COMMANDS[command][2]):
+            with pytest.raises(SystemExit) as info:
+                _build_parser().parse_args([command, *own, flag, COMMAND_FLAG_SAMPLES[flag]])
+            assert info.value.code == 2
+            error = capsys.readouterr().err.splitlines()[-1]
+            assert "error: " in error and flag in error
+
+    @pytest.mark.parametrize("argv, wrapped", [
+        (["sweep"], ["run_sweep", "write_csv"]),
+        (["simulate", "--snr", "10"], ["run_sweep", "write_csv"]),
+        (["baseline"], ["run_baseline_ofdm_bpsk", "write_csv"]),
+        (["optimize", "--objective", "monte_carlo"], ["monte_carlo_objective", "scan_levels"]),
+    ], ids=["sweep", "simulate", "baseline", "optimize"])
+    def test_handlers_call_the_library_through_module_names(self, argv, wrapped, monkeypatch):
+        # a tracer wraps these cli globals, so the handlers must look them up at call time
+        calls = []
+
+        def recording(name, inner):
+            def wrapper(*args, **kwargs):
+                calls.append(name)
+                return inner(*args, **kwargs)
+            return wrapper
+
+        for name in wrapped:
+            monkeypatch.setattr(cli, name, recording(name, getattr(cli, name)))
+        assert main([*argv, "--symbols", "20", "--snr-grid", "10", "--seed", "1"]) == 0
+        assert sorted(set(calls)) == sorted(wrapped)
+
     def test_one_entry_and_one_flag_per_field(self):
         assert list(OPTIONS) == [field.name for field in dataclasses.fields(SimConfig)]
         flags = [flag for flag, _, _ in OPTIONS.values()]

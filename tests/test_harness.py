@@ -6,6 +6,8 @@ import concurrent.futures
 import dataclasses
 import io
 import math
+import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -96,6 +98,28 @@ class TestConfigValidation:
     def test_integer_error_is_one_line(self):
         with pytest.raises(ValueError, match=r"^ofdm_symbols must be an integer, got 10\.5$"):
             SimConfig(ofdm_symbols=10.5)
+
+    @pytest.mark.parametrize(
+        "name, low",
+        [("ofdm_symbols", 1), ("coherence_block", 1), ("batch_symbols", 1), ("workers", 1),
+         ("master_seed", 0)],
+    )
+    def test_lower_bound_error_is_one_line(self, name, low):
+        SimConfig(**{name: low})
+        for value in (low - 1, np.int64(low - 5)):
+            message = rf"^{name} must be >= {low}, got {int(value)}$"
+            with pytest.raises(ValueError, match=message):
+                SimConfig(**{name: value})
+
+    @pytest.mark.parametrize(
+        "name, choices",
+        [("channel_mode", "('multipath', 'flat', 'identity')"),
+         ("snr_convention", "('subcarrier', 'per_bit')")],
+    )
+    def test_choice_error_is_one_line(self, name, choices):
+        with pytest.raises(ValueError,
+                           match=rf"^{name} must be one of {re.escape(choices)}, got 'bogus'$"):
+            SimConfig(**{name: "bogus"})
 
     def test_policy_error_is_one_line(self):
         with pytest.raises(ValueError, match=r"^policy must be a Policy, got 'saving'$"):
@@ -214,6 +238,27 @@ class TestNoiselessLoopback:
         rec = _point(_tiny(), INF)
         assert 0.45 < rec.ber_power_sim < 0.55 and 0.45 < rec.ber_bpsk_sim < 0.55
         assert 0.45 < _baseline_point(_tiny(), INF).ber_bpsk_sim < 0.55
+
+
+class TestBlockFading:
+    @pytest.mark.parametrize("block, count", [(2, 7), (3, 9), (5, 3), (10**5, 100)])
+    def test_expand_blocks_repeats_each_draw_over_its_block(self, block, count):
+        per_block = np.arange(-(-count // block) * 2).reshape(-1, 2)
+        expanded = harness._expand_blocks(per_block, block, count)
+        np.testing.assert_array_equal(expanded, np.repeat(per_block, block, axis=0)[:count])
+
+    @pytest.mark.parametrize("channel_mode", ["flat", "multipath"])
+    def test_memory_follows_the_symbols_not_the_block(self, channel_mode):
+        # 100 symbols in one block of 10**5: repeating the draw over the whole
+        # block before cutting it to 100 rows would allocate about 83 MB
+        cfg = _tiny(channel_mode=channel_mode, ofdm_symbols=100, coherence_block=10**5)
+        tracemalloc.start()
+        try:
+            run_sweep(cfg)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 4_000_000
 
 
 class TestDeterminism:
