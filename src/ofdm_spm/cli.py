@@ -151,7 +151,8 @@ OPTIONS = {
     "master_seed": ("--seed", int, "master seed for reproducible runs"),
     "snr_convention": ("--snr-convention", str, " | ".join(SNR_CONVENTIONS)),
     "batch_symbols": ("--batch-symbols", int, None),
-    "workers": ("--workers", int, None),
+    "workers": ("--workers", int,
+                "threads that draw and count batches; results do not depend on it"),
 }
 
 # subcommand -> (help, handler, {flag: add_argument keywords} of the flags

@@ -275,16 +275,17 @@ def _batch_errors(cfg: SimConfig, pairs, sigmas, batch) -> list:
 def _errors(cfg: SimConfig, pairs) -> list:
     """Decision errors [pair][snr][stream] of cfg's run for each of pairs
     (None for the baseline) at every SNR of cfg.snr_db_grid, noise scales
-    checked before any draw. Each batch is drawn once, in a worker if
-    cfg.workers > 1, and counted for every pair; the parent sums in batch
-    order."""
+    checked before any draw. Each batch is drawn once, on a pool thread if
+    cfg.workers > 1, and counted for every pair; the caller sums in batch
+    order. numpy's draws and ufuncs release the GIL, so threads overlap
+    without a fork or pickling, and a parallel run stays one process."""
     sigmas = [[math.sqrt(cfg.noise_density(snr_db, pair) / 2.0)
                for snr_db in cfg.snr_db_grid] for pair in pairs]
     count = functools.partial(_batch_errors, cfg, pairs, sigmas)
     batches = _batch_plan(cfg.ofdm_symbols, cfg.batch_symbols, cfg.coherence_block)
-    workers = min(cfg.workers, len(batches))  # a pool starts all its workers at once
+    workers = min(cfg.workers, len(batches))  # no idle threads; one runs serially
     if workers > 1:
-        with concurrent.futures.ProcessPoolExecutor(max_workers=workers) as pool:
+        with concurrent.futures.ThreadPoolExecutor(max_workers=workers) as pool:
             futures = [pool.submit(count, batch) for batch in batches]
             counts = [f.result() for f in futures]
     else:
@@ -332,7 +333,7 @@ def monte_carlo_objective(cfg: SimConfig):
     makes comparisons between candidates much tighter than the per-point
     noise level and keeps the scan deterministic. Each batch is drawn once
     per call and counted for every pair at every SNR, through the
-    _error_counts run_sweep uses, in cfg.workers processes (one pool, if
+    _error_counts run_sweep uses, on cfg.workers threads (one pool, if
     any). So a pair scores the rates run_sweep gives at that pair's H, and
     no draw is kept between calls.
     """

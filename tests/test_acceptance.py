@@ -281,12 +281,12 @@ def test_criterion_11_deterministic_csv(tmp_path, monkeypatch):
     )
     pools = []
 
-    class RecordingPool(concurrent.futures.ProcessPoolExecutor):
+    class RecordingPool(concurrent.futures.ThreadPoolExecutor):
         def __init__(self, *args, **kwargs):
             pools.append(kwargs.get("max_workers"))
             super().__init__(*args, **kwargs)
 
-    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
+    monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", RecordingPool)
     outputs = []
     for name, workers in [("a", 1), ("b", 1), ("c", 2)]:
         buf = io.StringIO()

@@ -85,6 +85,13 @@ class TestTheory:
         assert auto.returncode == 0, auto.stderr
         assert auto.stdout == fixed.stdout
 
+    def test_negative_first_grid_value_after_equals(self):
+        # argparse takes "--snr-grid -5,0,5" as a flag with no value
+        proc = run_cli("theory", "--snr-grid=-5,0,5")
+        assert proc.returncode == 0, proc.stderr
+        rows = list(csv.reader(io.StringIO(proc.stdout)))[1:]
+        assert [float(r[0]) for r in rows] == [-5.0, 0.0, 5.0]
+
 
 # at 2, 5 and 15 dB 1 / (1 / snr) != snr, which at 2 dB moves the BPSK
 # curve too, and numpy's and Python's float power convert 25 dB apart

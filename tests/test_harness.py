@@ -7,6 +7,8 @@ import dataclasses
 import io
 import math
 import re
+import sys
+import threading
 import tracemalloc
 
 import numpy as np
@@ -296,12 +298,27 @@ class TestDeterminism:
         parallel = run_sweep(SimConfig(workers=2, **small))
         assert serial == parallel
 
+    def test_more_threads_than_cores_switching_often(self):
+        # a state shared between batches, such as one generator, would
+        # show as counts that depend on how the threads interleave
+        fields = dict(ofdm_symbols=1200, batch_symbols=64, snr_db_grid=(0.0, 10.0),
+                      master_seed=9)
+        serial = run_baseline_ofdm_bpsk(SimConfig(**fields)), run_sweep(SimConfig(**fields))
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            cfg = SimConfig(workers=8, **fields)
+            parallel = run_baseline_ofdm_bpsk(cfg), run_sweep(cfg)
+        finally:
+            sys.setswitchinterval(interval)
+        assert parallel == serial
+
     @pytest.mark.parametrize("symbols, started", [(400, [2]), (100, [])], ids=["two", "one"])
     def test_pool_has_no_more_workers_than_batches(self, symbols, started, monkeypatch):
         pools = []
 
         class InlinePool:
-            """Records the pool size and runs each task at submit, in process."""
+            """Records the pool size and runs each task at submit, on the calling thread."""
 
             def __init__(self, max_workers):
                 pools.append(max_workers)
@@ -317,10 +334,34 @@ class TestDeterminism:
                 future.set_result(fn(*args))
                 return future
 
-        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", InlinePool)
+        monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", InlinePool)
         small = dict(channel_mode="flat", ofdm_symbols=symbols, batch_symbols=256, master_seed=9)
         assert _point(SimConfig(workers=8, **small), 10.0) == _point(SimConfig(**small), 10.0)
         assert pools == started
+
+    def test_one_worker_runs_every_batch_on_the_calling_thread(self, monkeypatch):
+        # a traced benchmark round keeps one span stack, so at workers=1 no
+        # program code may run on a second thread or in a second process
+        def no_pool(*args, **kwargs):
+            raise AssertionError("workers=1 started a pool")
+
+        threads = []
+        error_counts = harness._error_counts
+
+        def recording(*args):
+            threads.append(threading.get_ident())
+            return error_counts(*args)
+
+        monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", no_pool)
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", no_pool)
+        monkeypatch.setattr(harness, "_error_counts", recording)
+        cfg = SimConfig(channel_mode="multipath", ofdm_symbols=600, batch_symbols=256,
+                        snr_db_grid=(0.0, 10.0), master_seed=5)
+        run_sweep(cfg)
+        assert len(threads) == 3  # one call per batch
+        res = scan_levels(Policy.POWER_SAVING, objective=monte_carlo_objective(cfg))
+        assert len(threads) == 3 + 3 * res.trace_high.size
+        assert set(threads) == {threading.get_ident()}
 
     def test_partial_last_batch_counts_all_bits(self):
         cfg = _tiny(channel_mode="flat", ofdm_symbols=1500, batch_symbols=1024)
@@ -506,12 +547,12 @@ class TestMonteCarloObjective:
     def test_workers_share_one_pool_and_the_trace(self, monkeypatch):
         starts = []
 
-        class CountingPool(concurrent.futures.ProcessPoolExecutor):
+        class CountingPool(concurrent.futures.ThreadPoolExecutor):
             def __init__(self, *args, **kwargs):
                 starts.append(kwargs.get("max_workers"))
                 super().__init__(*args, **kwargs)
 
-        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", CountingPool)
+        monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", CountingPool)
         fields = dict(ofdm_symbols=600, batch_symbols=256, snr_db_grid=(0.0, 10.0, 20.0),
                       master_seed=2)
         serial = scan_levels(
@@ -525,13 +566,13 @@ class TestMonteCarloObjective:
         assert parallel.trace_objective.tolist() == serial.trace_objective.tolist()
 
     def test_workers_count_the_errors(self, monkeypatch):
-        # each batch is scored for every candidate in its worker, so the
-        # parent only sums counts
+        # each batch is scored for every candidate on a pool thread, so the
+        # calling thread only sums counts
         calls = []
         error_counts = harness._error_counts
 
         def recording(*args):
-            calls.append(args[1])
+            calls.append(threading.get_ident())
             return error_counts(*args)
 
         monkeypatch.setattr(harness, "_error_counts", recording)
@@ -545,7 +586,8 @@ class TestMonteCarloObjective:
         parallel = scan_levels(
             Policy.POWER_SAVING, objective=monte_carlo_objective(SimConfig(workers=2, **fields))
         )
-        assert calls == []
+        assert threading.get_ident() not in calls
+        assert len(calls) == 3 * serial.trace_high.size
         assert parallel.trace_objective.tolist() == serial.trace_objective.tolist()
 
     def test_deterministic_and_plausible(self):
