@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import concurrent.futures
 import csv
-import functools
 import math
 import numbers
 import os
@@ -264,24 +263,22 @@ def _error_counts(batch, sigmas, mapper, detectors) -> list[list[int]]:
     return errors
 
 
-def _batch_errors(cfg: SimConfig, pairs, sigmas, batch) -> list:
-    """Decision errors [pair][scale][stream] of one batch, drawn once and
-    counted for every pair at that pair's noise scales."""
-    links = [_link(pair) for pair in pairs]
-    draw = _draws(cfg, max(len(detectors) for _, detectors in links), batch)
-    return [_error_counts(draw, scales, *link) for link, scales in zip(links, sigmas)]
-
-
 def _errors(cfg: SimConfig, pairs) -> list:
     """Decision errors [pair][snr][stream] of cfg's run for each of pairs
-    (None for the baseline) at every SNR of cfg.snr_db_grid, noise scales
-    checked before any draw. Each batch is drawn once, on a pool thread if
-    cfg.workers > 1, and counted for every pair; the caller sums in batch
-    order. numpy's draws and ufuncs release the GIL, so threads overlap
-    without a fork or pickling, and a parallel run stays one process."""
+    (None for the baseline) at every SNR of cfg.snr_db_grid. Each pair's
+    noise scales (checked here) and link are built once, before any draw;
+    each batch is drawn once, on a pool thread if cfg.workers > 1, counted
+    for every pair, and summed in batch order. numpy's draws and ufuncs
+    release the GIL, so threads overlap and a parallel run stays one process."""
     sigmas = [[math.sqrt(cfg.noise_density(snr_db, pair) / 2.0)
                for snr_db in cfg.snr_db_grid] for pair in pairs]
-    count = functools.partial(_batch_errors, cfg, pairs, sigmas)
+    links = [_link(pair) for pair in pairs]
+    streams = max(len(detectors) for _, detectors in links)
+
+    def count(batch):
+        draw = _draws(cfg, streams, batch)
+        return [_error_counts(draw, scales, *link) for link, scales in zip(links, sigmas)]
+
     batches = _batch_plan(cfg.ofdm_symbols, cfg.batch_symbols, cfg.coherence_block)
     workers = min(cfg.workers, len(batches))  # no idle threads; one runs serially
     if workers > 1:
@@ -331,11 +328,11 @@ def monte_carlo_objective(cfg: SimConfig):
 
     All pairs are scored on the same draws (common random numbers), which
     makes comparisons between candidates much tighter than the per-point
-    noise level and keeps the scan deterministic. Each batch is drawn once
-    per call and counted for every pair at every SNR, through the
-    _error_counts run_sweep uses, on cfg.workers threads (one pool, if
-    any). So a pair scores the rates run_sweep gives at that pair's H, and
-    no draw is kept between calls.
+    noise level and keeps the scan deterministic. Each call builds every
+    pair's link once, then draws each batch once and counts it for every
+    pair at every SNR, through the _error_counts run_sweep uses, on
+    cfg.workers threads (one pool, if any). So a pair scores the rates
+    run_sweep gives at that pair's H, and no draw is kept between calls.
     """
     bits_per_stream = cfg.data_subcarriers * cfg.ofdm_symbols
 

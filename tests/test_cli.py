@@ -1,7 +1,14 @@
-"""Command line interface, exercised through real subprocesses."""
+"""Command line interface.
+
+run_cli calls cli.main in this process, under the suite's warning
+filters, and reports it the way a finished subprocess would;
+TestEntryPoint starts real interpreters for the module and console-script
+entry points.
+"""
 
 from __future__ import annotations
 
+import contextlib
 import csv
 import dataclasses
 import io
@@ -43,13 +50,15 @@ ENV["PYTHONPATH"] = os.pathsep.join(p for p in (str(ROOT / "src"), ENV.get("PYTH
 
 
 def run_cli(*args):
-    return subprocess.run(
-        [sys.executable, "-m", "ofdm_spm.cli", *args],
-        env=ENV,
-        capture_output=True,
-        text=True,
-        timeout=120,
-    )
+    """`ofdm-spm *args` run in-process: the exit code and captured text."""
+    stdout, stderr = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
+        try:
+            returncode = main(list(args))
+        except SystemExit as exc:  # argparse exits on a usage error and on --help
+            returncode = exc.code
+    return subprocess.CompletedProcess(["ofdm-spm", *args], returncode,
+                                       stdout.getvalue(), stderr.getvalue())
 
 
 class TestTheory:
@@ -167,7 +176,7 @@ class TestSimulate:
             "--out", str(out),
         )
         assert proc.returncode == 0, proc.stderr
-        rows = list(csv.reader(out.open()))
+        rows = list(csv.reader(out.read_text().splitlines()))
         assert rows[0] == list(CSV_COLUMNS)
         rec = dict(zip(rows[0], rows[1]))
         assert float(rec["ber_total_sim"]) == 0.0
@@ -380,7 +389,7 @@ class TestOptimize:
             "optimize", "--policy", "realloc_opt", "--out", str(out)
         )
         assert proc.returncode == 0, proc.stderr
-        rows = list(csv.reader(out.open()))
+        rows = list(csv.reader(out.read_text().splitlines()))
         assert rows[0] == ["high", "low", "objective"]
         res = scan_levels(Policy.REALLOC_OPTIMIZED)
         assert len(rows) - 1 == res.trace_high.size
@@ -597,3 +606,21 @@ class TestEntryPoint:
         )
         assert proc.returncode == 0
         assert proc.stdout.startswith(",".join(THEORY_COLUMNS[:2]))
+
+    @staticmethod
+    def _module(*args):
+        return subprocess.run([sys.executable, "-m", "ofdm_spm.cli", *args], env=ENV,
+                              capture_output=True, text=True, timeout=60)
+
+    def test_module_entry_point(self):
+        """python -m ofdm_spm.cli in a real interpreter, which run_cli does not start."""
+        proc = self._module("theory", "--snr-grid", "10")
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.splitlines()[0] == ",".join(THEORY_COLUMNS)
+        assert len(proc.stdout.splitlines()) == 2
+
+    def test_module_entry_point_bad_flag(self):
+        proc = self._module("theory", "--symbols", "0")
+        assert proc.returncode == 2
+        assert proc.stdout == ""
+        assert proc.stderr == "error: ofdm_symbols must be >= 1, got 0\n"

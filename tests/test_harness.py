@@ -345,6 +345,9 @@ class TestDeterminism:
         def no_pool(*args, **kwargs):
             raise AssertionError("workers=1 started a pool")
 
+        def no_thread(*args, **kwargs):
+            raise AssertionError("workers=1 started a thread")
+
         threads = []
         error_counts = harness._error_counts
 
@@ -354,13 +357,16 @@ class TestDeterminism:
 
         monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", no_pool)
         monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", no_pool)
+        monkeypatch.setattr(threading.Thread, "start", no_thread)
         monkeypatch.setattr(harness, "_error_counts", recording)
         cfg = SimConfig(channel_mode="multipath", ofdm_symbols=600, batch_symbols=256,
                         snr_db_grid=(0.0, 10.0), master_seed=5)
         run_sweep(cfg)
         assert len(threads) == 3  # one call per batch
+        run_baseline_ofdm_bpsk(cfg)
+        assert len(threads) == 6
         res = scan_levels(Policy.POWER_SAVING, objective=monte_carlo_objective(cfg))
-        assert len(threads) == 3 + 3 * res.trace_high.size
+        assert len(threads) == 6 + 3 * res.trace_high.size
         assert set(threads) == {threading.get_ident()}
 
     def test_partial_last_batch_counts_all_bits(self):
@@ -543,6 +549,25 @@ class TestMonteCarloObjective:
         res = scan_levels(Policy.POWER_SAVING, objective=objective)
         assert res.trace_high.size == 37
         assert rows == [256, 256, 88]
+
+    def test_links_are_built_once_per_run(self, monkeypatch):
+        # a scan's scorer is built before its first draw, not again in each batch
+        cfg = SimConfig(ofdm_symbols=600, batch_symbols=256, snr_db_grid=(0.0, 10.0),
+                        master_seed=3)
+        assert len(harness._batch_plan(600, 256, 1)) == 3
+        plain = scan_levels(Policy.POWER_SAVING, objective=monte_carlo_objective(cfg))
+        pairs = []
+        link = harness._link
+
+        def recording(pair):
+            pairs.append(pair)
+            return link(pair)
+
+        monkeypatch.setattr(harness, "_link", recording)
+        res = scan_levels(Policy.POWER_SAVING, objective=monte_carlo_objective(cfg))
+        assert [pair.high for pair in pairs] == res.trace_high.tolist()
+        assert res.trace_objective.tolist() == plain.trace_objective.tolist()
+        assert res.trace_high.tolist() == plain.trace_high.tolist()
 
     def test_workers_share_one_pool_and_the_trace(self, monkeypatch):
         starts = []

@@ -2,8 +2,9 @@
 
 pyproject.toml turns DeprecationWarning into an error, except libcst's use
 of mypy_extensions.TypedDict, which hypothesis imports while it reports a
-failing property. Each test copies the project's pytest configuration
-next to a small test file and reads the outcome of a fresh pytest run.
+failing property, and fails a test that leaves a file open. Each test
+copies the project's pytest configuration next to a small test file and
+reads the outcome of a fresh pytest run.
 """
 
 from __future__ import annotations
@@ -49,3 +50,21 @@ def test_deprecated_call():
     assert "INTERNALERROR" not in result.stdout.str() + result.stderr.str()
     result.assert_outcomes(failed=2)
     result.stdout.fnmatch_lines(["*test_deprecated_call*DeprecationWarning*"])
+
+
+def test_leaked_file_fails(pytester):
+    result = _run(pytester, """
+def test_leaves_a_file_open(tmp_path):
+    path = tmp_path / "sample.txt"
+    path.write_text("x")
+    assert path.open().read() == "x"
+
+def test_closes_its_file(tmp_path):
+    path = tmp_path / "sample.txt"
+    path.write_text("x")
+    with path.open() as handle:
+        assert handle.read() == "x"
+""")
+    assert "INTERNALERROR" not in result.stdout.str() + result.stderr.str()
+    result.assert_outcomes(failed=1, passed=1)
+    result.stdout.fnmatch_lines(["*test_leaves_a_file_open*"])
