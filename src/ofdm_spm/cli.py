@@ -66,6 +66,8 @@ def _load_config_file(path: str) -> dict:
             key = key.strip()
             if key not in OPTIONS:
                 raise ValueError(f"{path}:{lineno}: unknown key {key!r}")
+            if key in values:
+                raise ValueError(f"{path}:{lineno}: duplicate key {key!r}")
             values[key] = _parse(OPTIONS[key][1], text.strip(), f"{path}:{lineno}: {key}")
     return values
 
@@ -137,8 +139,8 @@ def _cmd_optimize(args):
 # file reads the same field names as keys. Flag and key text go through
 # the same parser, so a bad value gives the same one-line error from both.
 OPTIONS = {
-    "fft_size": ("--fft-size", int, None),
-    "data_subcarriers": ("--data-subcarriers", int, None),
+    "fft_size": ("--fft-size", int, "FFT size, a power of two"),
+    "data_subcarriers": ("--data-subcarriers", int, "data subcarriers; the rest are guards"),
     "ofdm_symbols": ("--symbols", int, "OFDM symbols per SNR point"),
     "policy": ("--policy", _policy, " | ".join(p.value for p in Policy)),
     # the word "auto" is resolved by _build_config
@@ -150,7 +152,8 @@ OPTIONS = {
     "coherence_block": ("--coherence-block", int, "OFDM symbols per channel realization"),
     "master_seed": ("--seed", int, "master seed for reproducible runs"),
     "snr_convention": ("--snr-convention", str, " | ".join(SNR_CONVENTIONS)),
-    "batch_symbols": ("--batch-symbols", int, None),
+    "batch_symbols": ("--batch-symbols", int,
+                      "OFDM symbols per seeded batch; results depend on it"),
     "workers": ("--workers", int,
                 "threads that draw and count batches; results do not depend on it"),
 }
@@ -164,9 +167,10 @@ COMMANDS = {
     "sweep": ("Monte-Carlo over the SNR grid", _cmd_sweep, {}),
     "baseline": ("plain OFDM-BPSK reference sweep", _cmd_baseline, {}),
     "optimize": ("scan H for the best (L, H) pair", _cmd_optimize, {
-        "--h-start": dict(default=1.05),
-        "--h-step": dict(default=0.01),
-        "--objective": dict(choices=("closed_form", "monte_carlo"), default="closed_form"),
+        "--h-start": dict(default=1.05, help="first H of the scan"),
+        "--h-step": dict(default=0.01, help="step in H between candidates"),
+        "--objective": dict(choices=("closed_form", "monte_carlo"), default="closed_form",
+                            help="score candidates by closed form or by simulation"),
     }),
 }
 

@@ -179,11 +179,6 @@ def _batch_plan(total: int, batch: int, block: int):
             for index, start in enumerate(range(0, total, step))]
 
 
-def _batch_rng(master_seed: int, batch_index: int):
-    seq = np.random.SeedSequence([int(master_seed), int(batch_index)])
-    return np.random.default_rng(seq)
-
-
 def _expand_blocks(per_block, block: int, count: int):
     """Repeat each block-fading draw over its coherence block, count rows in all."""
     if block == 1:
@@ -194,10 +189,10 @@ def _expand_blocks(per_block, block: int, count: int):
 def _draws(cfg: SimConfig, streams: int, batch):
     """Draw one batch of a run's random part, which every SNR point shares.
 
-    batch is an (index, count) of _batch_plan. Returns (bits, z, erased):
-    bits of shape (count, streams, n), the unit in-phase zero-forced noise
-    z = N(0, 1) / |H| of the data bins, float64 of shape (count, n), and
-    the mask of bins whose gain is below rx.GAIN_FLOOR.
+    batch is an (index, count) of _batch_plan. Returns (bits, z): bits of
+    shape (count, streams, n) and the unit in-phase zero-forced noise
+    z = N(0, 1) / |H| of the data bins, float64 of shape (count, n), NaN
+    on the erased bins (|H| < rx.GAIN_FLOOR), which decode as (0, 0).
 
     The model assumes a cyclic prefix covering the delay spread, so each
     data bin sees one complex gain H and zero forcing gives X + W / H, W
@@ -214,10 +209,9 @@ def _draws(cfg: SimConfig, streams: int, batch):
     batch_index, count = batch
     layout = cfg.layout()
     n, block = layout.n, cfg.coherence_block
-    rng = _batch_rng(cfg.master_seed, batch_index)
+    rng = np.random.default_rng([cfg.master_seed, batch_index])
     # draw order is part of the determinism contract: bits, fading, noise
-    bits = rng.integers(0, 2, size=(count, streams * n), dtype=np.int8)
-    bits = bits.reshape(count, streams, n)
+    bits = rng.integers(0, 2, size=(count, streams, n), dtype=np.int8)
     blocks = -(-count // block)
     gains = 1.0
     if cfg.channel_mode == "flat":
@@ -231,7 +225,8 @@ def _draws(cfg: SimConfig, streams: int, batch):
     magnitude = np.abs(gains)
     erased = magnitude < rx.GAIN_FLOOR  # read at call time; tests move the floor
     np.divide(z, magnitude, out=z, where=~erased)
-    return bits, z, erased
+    z[erased] = np.nan
+    return bits, z
 
 
 def _link(pair: PowerPair | None):
@@ -247,17 +242,16 @@ def _link(pair: PowerPair | None):
 
 
 def _error_counts(batch, sigmas, mapper, detectors) -> list[list[int]]:
-    """Decision errors [scale][stream] of one (bits, z, erased) batch.
+    """Decision errors [scale][stream] of one (bits, z) batch.
 
     At noise scale sigma the decision statistic is mapper(bits) + sigma *
-    z, with erased bins forced to 0, which the detectors decode as (0, 0).
+    z. It is NaN on the erased bins, which the detectors decode as (0, 0).
     """
-    bits, z, erased = batch
+    bits, z = batch
     points = mapper(bits)
     errors = []
     for sigma in sigmas:
         symbols = points + sigma * z
-        symbols[erased] = 0.0
         errors.append([int(np.count_nonzero(detect(symbols) != bits[:, stream]))
                        for stream, detect in enumerate(detectors)])
     return errors

@@ -52,13 +52,14 @@ def detect_power_bit(s, t: float):
     After equalization the constellation is real, so the quadrature part
     of s is noise only and stays out of the decision statistic; checking
     Re(s)^2 against the midpoint threshold is the matched 1-D rule.
-    Exact ties resolve to 0. Vectorized over arrays.
+    Exact ties and a NaN statistic resolve to 0. Vectorized over arrays.
     """
     s = np.asarray(s)
     return (np.square(s.real) > t).astype(np.int8)
 
 
 def detect_bpsk_bit(s):
-    """BPSK decision on the sign of the in-phase part: 1 if Re(s) > 0."""
+    """BPSK decision on the sign of the in-phase part: 1 if Re(s) > 0, so
+    0 and a NaN statistic decode as 0."""
     s = np.asarray(s)
     return (s.real > 0).astype(np.int8)

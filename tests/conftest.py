@@ -22,7 +22,7 @@ from ofdm_spm import (
     ofdm_demodulate,
     ofdm_modulate,
 )
-from ofdm_spm.harness import _batch_plan, _batch_rng, _expand_blocks
+from ofdm_spm.harness import _batch_plan, _expand_blocks
 
 ACCEPTANCE_LINES = []
 
@@ -68,17 +68,20 @@ def time_domain_draws(cfg, n0: float, streams: int, mapper, cp_len: int):
     convolution (or the flat gains), AWGN of variance n0 per time sample,
     the FFT and zero forcing of signal plus noise. Yields (bits, equalized
     symbols, erased, gains). The complex symbols X + W / H already carry
-    the points, so harness._error_counts scores (bits, symbols, erased)
-    at scale 1 with a mapper that adds 0. gains are the data-bin
-    responses H, or the scalar 1.0 on the identity channel. The bits,
-    gains and erasures come from the same seeds and draw order as
-    harness._draws; the noise samples do not.
+    the points and are 0 on the erased bins (harness._draws gives those
+    a NaN z instead; both decode as (0, 0)), so harness._error_counts
+    scores (bits, symbols) at scale 1 with a mapper that adds 0. gains
+    are the data-bin responses H, or the scalar 1.0 on the identity
+    channel. The bits, gains and erasures come from the same seeds and
+    draw order as harness._draws; the noise samples do not. The bits are
+    drawn flat and reshaped, so the reference does not share the
+    harness's draw call.
     """
     layout = cfg.layout()
     n, block = layout.n, cfg.coherence_block
     profile = cfg.profile() if cfg.channel_mode == "multipath" else None
     for batch_index, count in _batch_plan(cfg.ofdm_symbols, cfg.batch_symbols, block):
-        rng = _batch_rng(cfg.master_seed, batch_index)
+        rng = np.random.default_rng([cfg.master_seed, batch_index])
         bits = rng.integers(0, 2, size=(count, streams * n), dtype=np.int8)
         bits = bits.reshape(count, streams, n)
         points = mapper(bits)

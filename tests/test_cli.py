@@ -8,6 +8,7 @@ entry points.
 
 from __future__ import annotations
 
+import argparse
 import contextlib
 import csv
 import dataclasses
@@ -264,6 +265,14 @@ class TestSweep:
             proc = run_cli("sweep", "--config", str(cfg_file), "--seed", "0")
             assert proc.returncode == 2
             assert proc.stderr.count("\n") == 1 and "unknown key" in proc.stderr
+
+    def test_duplicate_config_key_fails(self, tmp_path):
+        # a second value for a key is refused, not silently taken over the first
+        cfg_file = tmp_path / "run.cfg"
+        cfg_file.write_text("ofdm_symbols = 10\n# a comment\nofdm_symbols = 20\n")
+        proc = run_cli("sweep", "--config", str(cfg_file), "--seed", "0")
+        assert proc.returncode == 2 and proc.stdout == ""
+        assert proc.stderr == f"error: {cfg_file}:3: duplicate key 'ofdm_symbols'\n"
 
     def test_invalid_value_fails_cleanly(self, tmp_path):
         proc = run_cli("sweep", "--seed", "0", "--delays", "0,3,5,6,64")
@@ -550,6 +559,14 @@ class TestOptionTable:
             monkeypatch.setattr(cli, name, recording(name, getattr(cli, name)))
         assert main([*argv, "--symbols", "20", "--snr-grid", "10", "--seed", "1"]) == 0
         assert sorted(set(calls)) == sorted(wrapped)
+
+    @pytest.mark.parametrize("command", COMMANDS)
+    def test_every_flag_has_help(self, command):
+        (subparsers,) = [action for action in _build_parser()._actions
+                         if isinstance(action, argparse._SubParsersAction)]
+        actions = subparsers.choices[command]._actions
+        assert len(actions) == 3 + len(OPTIONS) + len(COMMANDS[command][2])
+        assert [action.dest for action in actions if not action.help] == []
 
     def test_one_entry_and_one_flag_per_field(self):
         assert list(OPTIONS) == [field.name for field in dataclasses.fields(SimConfig)]

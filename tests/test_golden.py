@@ -157,13 +157,33 @@ def test_error_counts_match_the_time_domain_chain(name):
     for record in sweep(cfg):
         n0 = cfg.noise_density(record.snr_db, pair)
         draws = time_domain_draws(cfg, n0, len(detectors), mapper, CP)
-        slow = np.sum([harness._error_counts((b, s, e), [1.0], lambda bits: 0.0, detectors)[0]
-                       for b, s, e, _ in draws], axis=0).tolist()
+        slow = np.sum([harness._error_counts((b, s), [1.0], lambda bits: 0.0, detectors)[0]
+                       for b, s, _, _ in draws], axis=0).tolist()
         fast = [record.ber_power_sim, record.ber_bpsk_sim][-len(detectors):]
         for rate, errors in zip(fast, slow):
             mean = 0.5 * (rate + errors / bits)
             sigma = math.sqrt(2.0 * design_effect * mean * (1.0 - mean) / bits)
             assert 0 < errors and abs(rate - errors / bits) <= Z * sigma, record
+
+
+@pytest.mark.parametrize("channel_mode", ["flat", "multipath"])
+@pytest.mark.parametrize("pair_of", [SimConfig.pair, lambda cfg: None], ids=["spm", "baseline"])
+def test_partly_erased_batches_count_like_the_time_domain_chain(channel_mode, pair_of,
+                                                                monkeypatch):
+    # a floor near the median |H| erases some bins of every batch and keeps
+    # the rest; with no noise the counts must equal the time-domain chain's
+    # decisions, where equalize_symbols sets each erased bin to 0
+    monkeypatch.setattr(harness.rx, "GAIN_FLOOR", 0.8)
+    cfg = SimConfig(channel_mode=channel_mode, ofdm_symbols=300, batch_symbols=128,
+                    master_seed=4, snr_db_grid=(math.inf,))
+    pair = pair_of(cfg)
+    mapper, detectors = harness._link(pair)
+    slow = np.zeros(len(detectors), dtype=int)
+    for bits, symbols, erased, _ in time_domain_draws(cfg, 0.0, len(detectors), mapper, CP):
+        assert 0.2 < erased.mean() < 0.8
+        slow += [np.count_nonzero(detect(symbols) != bits[:, stream])
+                 for stream, detect in enumerate(detectors)]
+    assert harness._errors(cfg, [pair]) == [[slow.tolist()]]
 
 
 SCAN_MC = (

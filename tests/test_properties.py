@@ -163,9 +163,10 @@ def test_frequency_domain_chain_matches_time_domain(link):
     fast = [harness._draws(cfg, 2, batch) for batch in plan]
     slow = list(time_domain_draws(cfg, 0.0, 2, mapper, cp))
     assert len(fast) == len(slow)
-    for (bits, z, erased), (slow_bits, slow_symbols, slow_erased, _) in zip(fast, slow):
+    for (bits, z), (slow_bits, slow_symbols, slow_erased, _) in zip(fast, slow):
+        erased = np.isnan(z)
         np.testing.assert_array_equal(bits, slow_bits)
         np.testing.assert_array_equal(erased, slow_erased)
-        assert not (0.0 * z).any()  # n0 = 0 scales the unit noise away
+        assert not (0.0 * z[~erased]).any()  # n0 = 0 scales the unit noise away
         fast_symbols = np.where(erased, 0.0, mapper(bits))
         np.testing.assert_allclose(fast_symbols, slow_symbols, rtol=1e-9, atol=1e-9)

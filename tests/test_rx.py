@@ -110,6 +110,12 @@ class TestPowerDetector:
         assert detect_power_bit(np.array(1.0 + 0j), 1.0) == 0
         assert detect_power_bit(np.array(-1.0 + 0j), 1.0) == 0
 
+    def test_nan_decodes_as_zero(self):
+        # the harness marks an erased bin with a NaN statistic
+        s = np.array([1.35, np.nan, -1.35, 0.1, -np.nan])
+        np.testing.assert_array_equal(detect_power_bit(s, 0.78438), [1, 0, 1, 0, 0])
+        np.testing.assert_array_equal(detect_power_bit(s + 0j, 0.78438), [1, 0, 1, 0, 0])
+
     def test_quadrature_part_ignored(self):
         # Decision statistic is the in-phase energy alone.
         t = 0.78438
@@ -135,6 +141,12 @@ class TestBpskDetector:
         rng = np.random.default_rng(85)
         s = rng.normal(size=500) + 1j * rng.normal(size=500)
         np.testing.assert_array_equal(detect_bpsk_bit(s), detect_bpsk_bit(3.7 * s))
+
+    def test_nan_decodes_as_zero(self):
+        # the harness marks an erased bin with a NaN statistic
+        s = np.array([0.3, np.nan, -0.3, 2.0, -np.nan])
+        np.testing.assert_array_equal(detect_bpsk_bit(s), [1, 0, 0, 1, 0])
+        np.testing.assert_array_equal(detect_bpsk_bit(s + 0j), [1, 0, 0, 1, 0])
 
 
 class TestDetectorIndependence:
