@@ -29,8 +29,14 @@ THEORY_COLUMNS = ("snr_db", *(f.name for f in dataclasses.fields(BerBreakdown)),
 
 
 def _comma_list(parse):
-    """A parser of comma-separated text into a tuple of parse(part)."""
-    return lambda text: tuple(parse(part) for part in text.split(",") if part.strip())
+    """A parser of comma-separated text into a tuple of parse(part); an
+    empty part, such as the middle of "0,,10", fails."""
+    def parse_list(text: str) -> tuple:
+        parts = text.split(",")
+        if not all(part.strip() for part in parts):
+            raise ValueError(f"empty item in {text!r}")
+        return tuple(map(parse, parts))
+    return parse_list
 
 
 def _policy(text: str) -> Policy:

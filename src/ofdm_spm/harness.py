@@ -4,9 +4,12 @@ Reproducibility contract: every batch of symbols draws from its own RNG
 seeded by (master_seed, batch_index), and batch boundaries depend only on
 the configuration. The draw depends on neither the SNR nor the pair, so
 each batch is drawn once and counted at every SNR point for every pair:
-simulate, a one-point sweep, equals the sweep's row at that SNR. The
-reduction sums integer error counts in batch order, so results are
-byte-identical across repeat runs and across worker counts.
+simulate, a one-point sweep, equals the sweep's row at that SNR. A batch
+is drawn and counted in tiles of at most _TILE_ROWS symbols: its bits and
+fading first, then its noise tile by tile from the same stream, which
+gives the values of one whole-batch fill. The reduction sums integer
+error counts in tile and batch order, so results are byte-identical
+across repeat runs, worker counts and tile sizes.
 """
 from __future__ import annotations
 
@@ -179,20 +182,18 @@ def _batch_plan(total: int, batch: int, block: int):
             for index, start in enumerate(range(0, total, step))]
 
 
-def _expand_blocks(per_block, block: int, count: int):
-    """Repeat each block-fading draw over its coherence block, count rows in all."""
-    if block == 1:
-        return per_block[:count]
-    return per_block[np.arange(count) // block]
+# rows per tile of a batch: a tile's float64 (rows, n) arrays fit a core's L2 cache
+_TILE_ROWS = 1024
 
 
 def _draws(cfg: SimConfig, streams: int, batch):
     """Draw one batch of a run's random part, which every SNR point shares.
 
-    batch is an (index, count) of _batch_plan. Returns (bits, z): bits of
-    shape (count, streams, n) and the unit in-phase zero-forced noise
-    z = N(0, 1) / |H| of the data bins, float64 of shape (count, n), NaN
-    on the erased bins (|H| < rx.GAIN_FLOOR), which decode as (0, 0).
+    batch is an (index, count) of _batch_plan. Yields the batch as (bits,
+    z) tiles of at most _TILE_ROWS rows, in row order: bits of shape
+    (rows, streams, n) and the unit in-phase zero-forced noise z = N(0, 1)
+    / |H| of the data bins, float64 of shape (rows, n), NaN on the erased
+    bins (|H| < rx.GAIN_FLOOR), which decode as (0, 0).
 
     The model assumes a cyclic prefix covering the delay spread, so each
     data bin sees one complex gain H and zero forcing gives X + W / H, W
@@ -205,28 +206,51 @@ def _draws(cfg: SimConfig, streams: int, batch):
     tests check this against the public time-domain chain (ofdm_modulate,
     apply_channel, add_awgn, ofdm_demodulate, equalize_symbols): the same
     bits, fading and erasures, and the same noise law.
+
+    The bits and the fading (the flat |H| or the multipath taps, one row
+    per coherence block) are drawn for the whole batch first, then the
+    noise one tile at a time. A stream filled in pieces gives the values
+    of one fill, so the tiles are the whole-batch draw cut into rows.
+    Each tile takes the response of only the blocks it spans.
     """
     batch_index, count = batch
     layout = cfg.layout()
-    n, block = layout.n, cfg.coherence_block
+    n = layout.n
     rng = np.random.default_rng([cfg.master_seed, batch_index])
     # draw order is part of the determinism contract: bits, fading, noise
     bits = rng.integers(0, 2, size=(count, streams, n), dtype=np.int8)
-    blocks = -(-count // block)
-    gains = 1.0
+    blocks = -(-count // cfg.coherence_block)
+    fading = None
     if cfg.channel_mode == "flat":
-        per_block = draw_flat_rayleigh(blocks * n, rng).reshape(blocks, n)
-        gains = _expand_blocks(per_block, block, count)
+        fading = np.abs(draw_flat_rayleigh(blocks * n, rng)).reshape(blocks, n)
     elif cfg.channel_mode == "multipath":
-        taps = draw_taps(cfg.profile(), blocks, rng)
-        response = channel_frequency_response(taps, cfg.fft_size)[:, layout.data_bins]
-        gains = _expand_blocks(response, block, count)
-    z = rng.standard_normal((count, n))
-    magnitude = np.abs(gains)
+        fading = draw_taps(cfg.profile(), blocks, rng)
+    for start in range(0, count, _TILE_ROWS):
+        stop = min(start + _TILE_ROWS, count)
+        z = rng.standard_normal((stop - start, n))
+        _zero_force(z, np.float64(1.0) if fading is None
+                    else _magnitude(cfg, layout, fading, start, stop))
+        yield bits[start:stop], z
+
+
+def _magnitude(cfg: SimConfig, layout: SubcarrierLayout, fading, start: int, stop: int):
+    """|H| of the data bins of batch rows start:stop, from the batch's
+    per-block fading: |H| itself (flat) or the taps (multipath)."""
+    block = cfg.coherence_block
+    rows = np.arange(start, stop) // block
+    first = rows[0]
+    per_block = fading[first:rows[-1] + 1]
+    if cfg.channel_mode == "multipath":
+        per_block = np.abs(channel_frequency_response(per_block, cfg.fft_size))[:, layout.data_bins]
+    return per_block if block == 1 else per_block[rows - first]
+
+
+def _zero_force(z, magnitude) -> None:
+    """z /= |H| in place, NaN where |H| < rx.GAIN_FLOOR; magnitude is an
+    array or, on the identity channel, the numpy scalar 1."""
     erased = magnitude < rx.GAIN_FLOOR  # read at call time; tests move the floor
     np.divide(z, magnitude, out=z, where=~erased)
     z[erased] = np.nan
-    return bits, z
 
 
 def _link(pair: PowerPair | None):
@@ -261,8 +285,9 @@ def _errors(cfg: SimConfig, pairs) -> list:
     """Decision errors [pair][snr][stream] of cfg's run for each of pairs
     (None for the baseline) at every SNR of cfg.snr_db_grid. Each pair's
     noise scales (checked here) and link are built once, before any draw;
-    each batch is drawn once, on a pool thread if cfg.workers > 1, counted
-    for every pair, and summed in batch order. numpy's draws and ufuncs
+    each batch is drawn once, on a pool thread if cfg.workers > 1, and
+    each of its tiles is counted for every pair as it is drawn, on the same
+    thread; the counts are summed in batch order. numpy's draws and ufuncs
     release the GIL, so threads overlap and a parallel run stays one process."""
     sigmas = [[math.sqrt(cfg.noise_density(snr_db, pair) / 2.0)
                for snr_db in cfg.snr_db_grid] for pair in pairs]
@@ -270,8 +295,8 @@ def _errors(cfg: SimConfig, pairs) -> list:
     streams = max(len(detectors) for _, detectors in links)
 
     def count(batch):
-        draw = _draws(cfg, streams, batch)
-        return [_error_counts(draw, scales, *link) for link, scales in zip(links, sigmas)]
+        return np.sum([[_error_counts(tile, scales, *link) for link, scales in zip(links, sigmas)]
+                       for tile in _draws(cfg, streams, batch)], axis=0)
 
     batches = _batch_plan(cfg.ofdm_symbols, cfg.batch_symbols, cfg.coherence_block)
     workers = min(cfg.workers, len(batches))  # no idle threads; one runs serially

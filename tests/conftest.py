@@ -22,7 +22,7 @@ from ofdm_spm import (
     ofdm_demodulate,
     ofdm_modulate,
 )
-from ofdm_spm.harness import _batch_plan, _expand_blocks
+from ofdm_spm.harness import _batch_plan
 
 ACCEPTANCE_LINES = []
 
@@ -59,9 +59,16 @@ def total_crossings(snr: float, pair) -> float:
     return e1 + 0.5 * e2 - 0.5 * e4
 
 
+def expand_blocks(per_block, block: int, count: int):
+    """Repeat each block-fading draw over its coherence block, count rows in all."""
+    if block == 1:
+        return per_block[:count]
+    return per_block[np.arange(count) // block]
+
+
 def time_domain_draws(cfg, n0: float, streams: int, mapper, cp_len: int):
-    """harness._draws the long way, batch by batch, on the same seeds and
-    in the same draw order.
+    """harness._draws the long way, one whole batch at a time, on the same
+    seeds and in the same draw order.
 
     Each batch of points goes through the IFFT and a cyclic prefix of
     cp_len samples, which must cover the delay spread, the tap
@@ -91,14 +98,14 @@ def time_domain_draws(cfg, n0: float, streams: int, mapper, cp_len: int):
             # per-subcarrier gains act before the transform, which is the
             # same received signal as multiplying the bins after it
             per_block = draw_flat_rayleigh(blocks * n, rng).reshape(blocks, n)
-            gains = _expand_blocks(per_block, block, count)
+            gains = expand_blocks(per_block, block, count)
             points = points * gains
         x = ofdm_modulate(points, layout, cp_len)
         if profile is not None:
             taps = draw_taps(profile, blocks, rng)
             response = channel_frequency_response(taps, cfg.fft_size)[:, layout.data_bins]
-            gains = _expand_blocks(response, block, count)
-            x = apply_channel(x, _expand_blocks(taps, block, count))
+            gains = expand_blocks(response, block, count)
+            x = apply_channel(x, expand_blocks(taps, block, count))
         y = add_awgn(x, n0, rng)
         symbols, erased = equalize_symbols(ofdm_demodulate(y, layout, cp_len), gains)
         yield bits, symbols, erased, gains

@@ -300,6 +300,18 @@ class TestSweep:
         cfg_file.write_text("high_factor = abc\n")
         proc = run_cli("theory", "--config", str(cfg_file))
         assert proc.stderr.startswith(f"error: {cfg_file}:1: high_factor: ")
+        # an empty item of a comma list is an error, not a value dropped
+        for flag, key, text in (("--snr-grid", "snr_db_grid", "0,,10"),
+                                ("--delays", "delays", "0,3,"),
+                                ("--powers-db", "powers_db", ",0")):
+            cfg_file.write_text(f"{key} = {text}\n")
+            for args, prefix in ((("theory", flag, text), flag),
+                                 (("theory", "--config", str(cfg_file)), f"{cfg_file}:1: {key}")):
+                proc = run_cli(*args)
+                assert proc.returncode == 2, args
+                assert proc.stdout == ""
+                assert proc.stderr.count("\n") == 1
+                assert proc.stderr.startswith(f"error: {prefix}: empty item")
 
     def test_nan_snr_fails_cleanly(self):
         proc = run_cli("sweep", "--snr-grid", "nan", "--seed", "1")

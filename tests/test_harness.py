@@ -19,7 +19,11 @@ from ofdm_spm import (
     Policy,
     SimConfig,
     ber_breakdown,
+    channel_frequency_response,
+    draw_flat_rayleigh,
+    draw_taps,
     monte_carlo_objective,
+    power_pair_for,
     rayleigh_bpsk_ber,
     reference_pair,
     run_baseline_ofdm_bpsk,
@@ -27,6 +31,7 @@ from ofdm_spm import (
     scan_levels,
     write_csv,
 )
+from conftest import expand_blocks
 from ofdm_spm import harness, rx
 from ofdm_spm.harness import CHANNEL_MODES
 
@@ -246,7 +251,7 @@ class TestBlockFading:
     @pytest.mark.parametrize("block, count", [(2, 7), (3, 9), (5, 3), (10**5, 100)])
     def test_expand_blocks_repeats_each_draw_over_its_block(self, block, count):
         per_block = np.arange(-(-count // block) * 2).reshape(-1, 2)
-        expanded = harness._expand_blocks(per_block, block, count)
+        expanded = expand_blocks(per_block, block, count)
         np.testing.assert_array_equal(expanded, np.repeat(per_block, block, axis=0)[:count])
 
     @pytest.mark.parametrize("channel_mode", ["flat", "multipath"])
@@ -261,6 +266,74 @@ class TestBlockFading:
         finally:
             tracemalloc.stop()
         assert peak < 4_000_000
+
+
+class TestTiles:
+    """_draws yields each batch in tiles of at most _TILE_ROWS rows; the
+    tiles are the whole-batch draw cut into rows, so their size changes no
+    count."""
+
+    # 130 symbols a batch, 129 at block 3 and 128 at block 16: no plan is a
+    # whole number of 7-row tiles
+    FIELDS = dict(ofdm_symbols=300, batch_symbols=130, snr_db_grid=(0.0, 10.0, INF),
+                  master_seed=4)
+
+    @pytest.mark.parametrize("block", [1, 3, 16])
+    @pytest.mark.parametrize("channel_mode", CHANNEL_MODES)
+    def test_tile_size_does_not_change_the_counts(self, channel_mode, block, monkeypatch):
+        monkeypatch.setattr(rx, "GAIN_FLOOR", 0.3)  # some bins erased on the fading channels
+        cfg = SimConfig(channel_mode=channel_mode, coherence_block=block, **self.FIELDS)
+        scan = [power_pair_for(Policy.REALLOC_OPTIMIZED, h) for h in (1.5, 1.7, 1.9)]
+        counts = []
+        for rows in (1, 7, cfg.batch_symbols):
+            monkeypatch.setattr(harness, "_TILE_ROWS", rows)
+            counts.append([harness._errors(cfg, pairs) for pairs in ([cfg.pair()], [None], scan)])
+        assert counts[0] == counts[1] == counts[2]
+
+    @pytest.mark.parametrize("block", [1, 3])
+    @pytest.mark.parametrize("channel_mode", CHANNEL_MODES)
+    def test_tiles_are_the_whole_batch_draw(self, channel_mode, block, monkeypatch):
+        # bits, then the fading, then one noise fill of the whole batch
+        monkeypatch.setattr(rx, "GAIN_FLOOR", 0.3)
+        monkeypatch.setattr(harness, "_TILE_ROWS", 7)
+        cfg = SimConfig(channel_mode=channel_mode, coherence_block=block, **self.FIELDS)
+        batch_index, count = harness._batch_plan(cfg.ofdm_symbols, cfg.batch_symbols, block)[1]
+        tiles = list(harness._draws(cfg, 2, (batch_index, count)))
+        assert [z.shape[0] for _, z in tiles] == [7] * (count // 7) + [count % 7]
+        bits, z = map(np.concatenate, zip(*tiles))
+
+        layout = cfg.layout()
+        n, blocks = layout.n, -(-count // block)
+        rng = np.random.default_rng([cfg.master_seed, batch_index])
+        whole_bits = rng.integers(0, 2, size=(count, 2, n), dtype=np.int8)
+        magnitude = np.ones((count, n))
+        if channel_mode == "flat":
+            gains = draw_flat_rayleigh(blocks * n, rng).reshape(blocks, n)
+            magnitude = np.abs(expand_blocks(gains, block, count))
+        elif channel_mode == "multipath":
+            taps = draw_taps(cfg.profile(), blocks, rng)
+            response = channel_frequency_response(taps, cfg.fft_size)[:, layout.data_bins]
+            magnitude = np.abs(expand_blocks(response, block, count))
+        noise = rng.standard_normal((count, n))
+        erased = magnitude < rx.GAIN_FLOOR
+        np.testing.assert_array_equal(bits, whole_bits)
+        np.testing.assert_array_equal(z, np.where(erased, np.nan, noise / magnitude))
+        assert erased.any() == (channel_mode != "identity")
+
+    @pytest.mark.parametrize("channel_mode", ["multipath", "identity"])
+    def test_a_batch_holds_no_whole_batch_noise_array(self, channel_mode):
+        # one 8192-symbol batch: the noise, |H| and the erasures of one tile
+        # at a time, never a (count, n) array of the whole batch. Flat fading
+        # is left out: its |H| is drawn for the whole batch, before the noise.
+        cfg = SimConfig(channel_mode=channel_mode, ofdm_symbols=8192, batch_symbols=8192,
+                        master_seed=1)
+        tracemalloc.start()
+        try:
+            run_sweep(cfg)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 8192 * 52 * 16  # one complex (count, n) array, 6.8 MB
 
 
 class TestDeterminism:
@@ -362,7 +435,7 @@ class TestDeterminism:
         cfg = SimConfig(channel_mode="multipath", ofdm_symbols=600, batch_symbols=256,
                         snr_db_grid=(0.0, 10.0), master_seed=5)
         run_sweep(cfg)
-        assert len(threads) == 3  # one call per batch
+        assert len(threads) == 3  # one call per tile; each 256-symbol batch is one tile
         run_baseline_ofdm_bpsk(cfg)
         assert len(threads) == 6
         res = scan_levels(Policy.POWER_SAVING, objective=monte_carlo_objective(cfg))
@@ -538,9 +611,9 @@ class TestMonteCarloObjective:
         draws = harness._draws
 
         def counting(*args):
-            batch = draws(*args)
-            rows.append(batch[1].shape[0])
-            return batch
+            tiles = list(draws(*args))
+            rows.append(sum(z.shape[0] for _, z in tiles))
+            return iter(tiles)
 
         monkeypatch.setattr(harness, "_draws", counting)
         cfg = SimConfig(ofdm_symbols=600, batch_symbols=256, snr_db_grid=(0.0, 10.0))

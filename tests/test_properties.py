@@ -160,7 +160,7 @@ def test_frequency_domain_chain_matches_time_domain(link):
     cfg, cp = link
     mapper, _ = harness._link(cfg.pair())
     plan = _batch_plan(cfg.ofdm_symbols, cfg.batch_symbols, cfg.coherence_block)
-    fast = [harness._draws(cfg, 2, batch) for batch in plan]
+    fast = [tuple(map(np.concatenate, zip(*harness._draws(cfg, 2, batch)))) for batch in plan]
     slow = list(time_domain_draws(cfg, 0.0, 2, mapper, cp))
     assert len(fast) == len(slow)
     for (bits, z), (slow_bits, slow_symbols, slow_erased, _) in zip(fast, slow):
