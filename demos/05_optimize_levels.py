@@ -4,7 +4,7 @@ The optimizer walks H upward in 0.01 steps with L derived from the
 budget at each step, keeping the pair that minimizes the mean
 closed-form total BER over the standard grid. The same scan accepts a
 Monte Carlo objective; common random numbers keep that variant
-deterministic too. It draws each batch of the link once for the whole
+deterministic too. It draws each unit of the link once for the whole
 SNR grid and scores every candidate on that one draw, so a candidate
 costs a detection pass, not a simulation.
 """

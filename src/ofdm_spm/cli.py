@@ -159,9 +159,9 @@ OPTIONS = {
     "master_seed": ("--seed", int, "master seed for reproducible runs"),
     "snr_convention": ("--snr-convention", str, " | ".join(SNR_CONVENTIONS)),
     "batch_symbols": ("--batch-symbols", int,
-                      "OFDM symbols per seeded batch; results depend on it"),
+                      "no effect, kept for existing configs: runs are seeded in 1024-symbol units"),
     "workers": ("--workers", int,
-                "threads that draw and count batches; results do not depend on it"),
+                "threads that draw and count units; results do not depend on it"),
 }
 
 # subcommand -> (help, handler, {flag: add_argument keywords} of the flags

@@ -1,15 +1,13 @@
 """Monte-Carlo link simulation: configuration, sweeps, CSV.
 
-Reproducibility contract: every batch of symbols draws from its own RNG
-seeded by (master_seed, batch_index), and batch boundaries depend only on
-the configuration. The draw depends on neither the SNR nor the pair, so
-each batch is drawn once and counted at every SNR point for every pair:
-simulate, a one-point sweep, equals the sweep's row at that SNR. A batch
-is drawn and counted in tiles of at most _TILE_ROWS symbols: its bits and
-fading first, then its noise tile by tile from the same stream, which
-gives the values of one whole-batch fill. The reduction sums integer
-error counts in tile and batch order, so results are byte-identical
-across repeat runs, worker counts and tile sizes.
+Reproducibility contract: a run is cut into units of _UNIT_ROWS symbols,
+in whole coherence blocks, and every unit draws from its own RNG seeded
+by (master_seed, unit_index). The draw depends on neither the SNR nor the
+pair, so each unit is drawn once and counted at every SNR point for every
+pair: simulate, a one-point sweep, equals the sweep's row at that SNR.
+The reduction sums integer error counts in unit order, so results are
+byte-identical across repeat runs, worker counts and batch_symbols, which
+the simulation does not read.
 """
 from __future__ import annotations
 
@@ -86,7 +84,7 @@ class SimConfig:
     coherence_block: int = 1
     master_seed: int = 0
     snr_convention: str = "subcarrier"
-    batch_symbols: int = 2048
+    batch_symbols: int = 2048  # no effect: runs are cut into _UNIT_ROWS units
     workers: int = 1
 
     def __post_init__(self):
@@ -147,7 +145,7 @@ class SimConfig:
         """Complex noise variance per sample implied by the SNR axis value."""
         snr = self.detector_snr(snr_db, pair)
         if snr == 0:
-            raise ValueError("snr_db = -inf is not simulatable")
+            raise ValueError(f"snr_db = {float(snr_db)!r} is not simulatable (linear SNR 0)")
         return 1.0 / snr
 
 
@@ -175,24 +173,26 @@ class SweepRecord:
 CSV_COLUMNS = tuple(f.name for f in fields(SweepRecord))
 
 
-def _batch_plan(total: int, batch: int, block: int):
-    """Fixed batch boundaries: multiples of the coherence block, last short."""
-    step = max(block, (batch // block) * block)
+# rows per unit: a run is cut into units of _UNIT_ROWS symbols, rounded to
+# whole coherence blocks, and each unit is seeded, drawn, scored and
+# scheduled on its own. It is part of the output contract: another value
+# draws other numbers. A unit's float64 (rows, n) arrays fit a core's L2 cache.
+_UNIT_ROWS = 1024
+
+
+def _units(total: int, block: int):
+    """The run's units as (index, count): whole coherence blocks, last short."""
+    step = max(block, (_UNIT_ROWS // block) * block)
     return [(index, min(step, total - start))
             for index, start in enumerate(range(0, total, step))]
 
 
-# rows per tile of a batch: a tile's float64 (rows, n) arrays fit a core's L2 cache
-_TILE_ROWS = 1024
+def _draws(cfg: SimConfig, streams: int, unit):
+    """Draw one unit of a run's random part, which every SNR point shares.
 
-
-def _draws(cfg: SimConfig, streams: int, batch):
-    """Draw one batch of a run's random part, which every SNR point shares.
-
-    batch is an (index, count) of _batch_plan. Yields the batch as (bits,
-    z) tiles of at most _TILE_ROWS rows, in row order: bits of shape
-    (rows, streams, n) and the unit in-phase zero-forced noise z = N(0, 1)
-    / |H| of the data bins, float64 of shape (rows, n), NaN on the erased
+    unit is an (index, count) of _units. Returns (bits, z): bits of shape
+    (count, streams, n) and the unit in-phase zero-forced noise z = N(0, 1)
+    / |H| of the data bins, float64 of shape (count, n), NaN on the erased
     bins (|H| < rx.GAIN_FLOOR), which decode as (0, 0).
 
     The model assumes a cyclic prefix covering the delay spread, so each
@@ -206,51 +206,27 @@ def _draws(cfg: SimConfig, streams: int, batch):
     tests check this against the public time-domain chain (ofdm_modulate,
     apply_channel, add_awgn, ofdm_demodulate, equalize_symbols): the same
     bits, fading and erasures, and the same noise law.
-
-    The bits and the fading (the flat |H| or the multipath taps, one row
-    per coherence block) are drawn for the whole batch first, then the
-    noise one tile at a time. A stream filled in pieces gives the values
-    of one fill, so the tiles are the whole-batch draw cut into rows.
-    Each tile takes the response of only the blocks it spans.
     """
-    batch_index, count = batch
+    index, count = unit
     layout = cfg.layout()
-    n = layout.n
-    rng = np.random.default_rng([cfg.master_seed, batch_index])
+    n, block = layout.n, cfg.coherence_block
+    rng = np.random.default_rng([cfg.master_seed, index])
     # draw order is part of the determinism contract: bits, fading, noise
     bits = rng.integers(0, 2, size=(count, streams, n), dtype=np.int8)
-    blocks = -(-count // cfg.coherence_block)
-    fading = None
+    blocks = -(-count // block)
+    magnitude = np.float64(1.0)  # the identity channel
     if cfg.channel_mode == "flat":
-        fading = np.abs(draw_flat_rayleigh(blocks * n, rng)).reshape(blocks, n)
+        magnitude = np.abs(draw_flat_rayleigh(blocks * n, rng)).reshape(blocks, n)
     elif cfg.channel_mode == "multipath":
-        fading = draw_taps(cfg.profile(), blocks, rng)
-    for start in range(0, count, _TILE_ROWS):
-        stop = min(start + _TILE_ROWS, count)
-        z = rng.standard_normal((stop - start, n))
-        _zero_force(z, np.float64(1.0) if fading is None
-                    else _magnitude(cfg, layout, fading, start, stop))
-        yield bits[start:stop], z
-
-
-def _magnitude(cfg: SimConfig, layout: SubcarrierLayout, fading, start: int, stop: int):
-    """|H| of the data bins of batch rows start:stop, from the batch's
-    per-block fading: |H| itself (flat) or the taps (multipath)."""
-    block = cfg.coherence_block
-    rows = np.arange(start, stop) // block
-    first = rows[0]
-    per_block = fading[first:rows[-1] + 1]
-    if cfg.channel_mode == "multipath":
-        per_block = np.abs(channel_frequency_response(per_block, cfg.fft_size))[:, layout.data_bins]
-    return per_block if block == 1 else per_block[rows - first]
-
-
-def _zero_force(z, magnitude) -> None:
-    """z /= |H| in place, NaN where |H| < rx.GAIN_FLOOR; magnitude is an
-    array or, on the identity channel, the numpy scalar 1."""
+        taps = draw_taps(cfg.profile(), blocks, rng)
+        magnitude = np.abs(channel_frequency_response(taps, cfg.fft_size))[:, layout.data_bins]
+    if block > 1 and magnitude.ndim:  # one row per block to one per symbol
+        magnitude = magnitude[np.arange(count) // block]
+    z = rng.standard_normal((count, n))
     erased = magnitude < rx.GAIN_FLOOR  # read at call time; tests move the floor
     np.divide(z, magnitude, out=z, where=~erased)
     z[erased] = np.nan
+    return bits, z
 
 
 def _link(pair: PowerPair | None):
@@ -265,13 +241,13 @@ def _link(pair: PowerPair | None):
     )
 
 
-def _error_counts(batch, sigmas, mapper, detectors) -> list[list[int]]:
-    """Decision errors [scale][stream] of one (bits, z) batch.
+def _error_counts(draw, sigmas, mapper, detectors) -> list[list[int]]:
+    """Decision errors [scale][stream] of one (bits, z) unit.
 
     At noise scale sigma the decision statistic is mapper(bits) + sigma *
     z. It is NaN on the erased bins, which the detectors decode as (0, 0).
     """
-    bits, z = batch
+    bits, z = draw
     points = mapper(bits)
     errors = []
     for sigma in sigmas:
@@ -285,27 +261,27 @@ def _errors(cfg: SimConfig, pairs) -> list:
     """Decision errors [pair][snr][stream] of cfg's run for each of pairs
     (None for the baseline) at every SNR of cfg.snr_db_grid. Each pair's
     noise scales (checked here) and link are built once, before any draw;
-    each batch is drawn once, on a pool thread if cfg.workers > 1, and
-    each of its tiles is counted for every pair as it is drawn, on the same
-    thread; the counts are summed in batch order. numpy's draws and ufuncs
-    release the GIL, so threads overlap and a parallel run stays one process."""
+    each unit is drawn once and counted for every pair on the same thread,
+    a pool thread if cfg.workers > 1; the counts are summed in unit order.
+    numpy's draws and ufuncs release the GIL, so threads overlap and a
+    parallel run stays one process."""
     sigmas = [[math.sqrt(cfg.noise_density(snr_db, pair) / 2.0)
                for snr_db in cfg.snr_db_grid] for pair in pairs]
     links = [_link(pair) for pair in pairs]
     streams = max(len(detectors) for _, detectors in links)
 
-    def count(batch):
-        return np.sum([[_error_counts(tile, scales, *link) for link, scales in zip(links, sigmas)]
-                       for tile in _draws(cfg, streams, batch)], axis=0)
+    def count(unit):
+        draw = _draws(cfg, streams, unit)
+        return np.array([_error_counts(draw, scales, *link) for link, scales in zip(links, sigmas)])
 
-    batches = _batch_plan(cfg.ofdm_symbols, cfg.batch_symbols, cfg.coherence_block)
-    workers = min(cfg.workers, len(batches))  # no idle threads; one runs serially
+    units = _units(cfg.ofdm_symbols, cfg.coherence_block)
+    workers = min(cfg.workers, len(units))  # no idle threads; one runs serially
     if workers > 1:
         with concurrent.futures.ThreadPoolExecutor(max_workers=workers) as pool:
-            futures = [pool.submit(count, batch) for batch in batches]
+            futures = [pool.submit(count, unit) for unit in units]
             counts = [f.result() for f in futures]
     else:
-        counts = [count(batch) for batch in batches]
+        counts = [count(unit) for unit in units]
     return np.sum(counts, axis=0).tolist()
 
 
@@ -348,7 +324,7 @@ def monte_carlo_objective(cfg: SimConfig):
     All pairs are scored on the same draws (common random numbers), which
     makes comparisons between candidates much tighter than the per-point
     noise level and keeps the scan deterministic. Each call builds every
-    pair's link once, then draws each batch once and counts it for every
+    pair's link once, then draws each unit once and counts it for every
     pair at every SNR, through the _error_counts run_sweep uses, on
     cfg.workers threads (one pool, if any). So a pair scores the rates
     run_sweep gives at that pair's H, and no draw is kept between calls.

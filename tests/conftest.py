@@ -22,7 +22,7 @@ from ofdm_spm import (
     ofdm_demodulate,
     ofdm_modulate,
 )
-from ofdm_spm.harness import _batch_plan
+from ofdm_spm.harness import _units
 
 ACCEPTANCE_LINES = []
 
@@ -67,10 +67,10 @@ def expand_blocks(per_block, block: int, count: int):
 
 
 def time_domain_draws(cfg, n0: float, streams: int, mapper, cp_len: int):
-    """harness._draws the long way, one whole batch at a time, on the same
-    seeds and in the same draw order.
+    """harness._draws the long way, one unit at a time, on the same seeds
+    and in the same draw order.
 
-    Each batch of points goes through the IFFT and a cyclic prefix of
+    Each unit of points goes through the IFFT and a cyclic prefix of
     cp_len samples, which must cover the delay spread, the tap
     convolution (or the flat gains), AWGN of variance n0 per time sample,
     the FFT and zero forcing of signal plus noise. Yields (bits, equalized
@@ -87,8 +87,8 @@ def time_domain_draws(cfg, n0: float, streams: int, mapper, cp_len: int):
     layout = cfg.layout()
     n, block = layout.n, cfg.coherence_block
     profile = cfg.profile() if cfg.channel_mode == "multipath" else None
-    for batch_index, count in _batch_plan(cfg.ofdm_symbols, cfg.batch_symbols, block):
-        rng = np.random.default_rng([cfg.master_seed, batch_index])
+    for index, count in _units(cfg.ofdm_symbols, block):
+        rng = np.random.default_rng([cfg.master_seed, index])
         bits = rng.integers(0, 2, size=(count, streams * n), dtype=np.int8)
         bits = bits.reshape(count, streams, n)
         points = mapper(bits)

@@ -271,7 +271,8 @@ def test_criterion_10_optimizer_dominance():
 
 
 def test_criterion_11_deterministic_csv(tmp_path, monkeypatch):
-    # 4 batches of 500 symbols, so the 2-worker run starts a pool
+    # 2000 symbols are 2 units, so the 2-worker run starts a pool; the
+    # batch_symbols field has no effect
     small = dict(
         channel_mode="flat",
         ofdm_symbols=2000,

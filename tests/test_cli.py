@@ -199,10 +199,11 @@ class TestSimulate:
 
 class TestWorkers:
     @pytest.mark.parametrize("command", ["sweep", "baseline", "simulate"])
-    def test_csv_bytes_do_not_depend_on_the_worker_count(self, command, tmp_path):
-        # 700 symbols in batches of 128 is six batches for up to 3 workers
-        argv = [command, "--seed", "9", "--symbols", "700", "--batch-symbols", "128",
-                "--coherence-block", "4", "--snr-grid", "0,10,20"]
+    def test_csv_bytes_do_not_depend_on_the_worker_count(self, command, tmp_path, monkeypatch):
+        # 700 symbols in units of 128 is six units for up to 3 workers
+        monkeypatch.setattr(harness, "_UNIT_ROWS", 128)
+        argv = [command, "--seed", "9", "--symbols", "700", "--coherence-block", "4",
+                "--snr-grid", "0,10,20"]
         if command == "simulate":
             argv += ["--snr", "10"]
         outputs = []

@@ -44,33 +44,33 @@ RUNS = {
     "flat": (
         dict(channel_mode="flat"),
         run_sweep,
-        "ad25b8ab28ea8c2422534fc7e1bf542f763222e30a63871a26fd22ed744b1885",
+        "aafca2f1767a247dafc1540eaafda4c3155f20f25763e22cb6757137aa95022b",
     ),
     "multipath": (
         dict(),
         run_sweep,
-        "4e762c65cd636532e8b2992209408dcea1feb33adb0ea91d2e6fa21b51363eba",
+        "590bae46a42b01f71dc19bf52f553dab505f10f1444e27a14c4cc17c8190a8ed",
     ),
     "baseline": (
         dict(),
         run_baseline_ofdm_bpsk,
-        "72121d49ac0d9a5f8190ae53fce95876d8b3a5148abb9874aa91aa12646edbc5",
+        "fbc2a33f6613f54b1ba4b1995971f0da25dde1ed923e261d6f7f84d6ac812982",
     ),
     "per_bit": (
         dict(policy=Policy.REALLOC_OPTIMIZED, snr_convention="per_bit"),
         run_sweep,
-        "9d8e24acd4e1f702a0df36e520593c61ff1cd4c93335dd48cb177b8ef6cf332e",
+        "02a8dea03ec01054378d4b2f6af48d9370a94122d3856e04bbfaeaf0fbdfe486",
     ),
     "coherence_block": (
         dict(coherence_block=4),
         run_sweep,
-        "add8a7c2fc1d30c392749e2bdf5c4698c365ad288a0219b1fb056ee3eb7778fc",
+        "67d979536e6e45f50b9abe3894b66a79061aae4d3e080e5a46da13f94ecf4b74",
     ),
     # the determinism contract: same bytes as the one-worker multipath run
     "workers": (
         dict(workers=2),
         run_sweep,
-        "4e762c65cd636532e8b2992209408dcea1feb33adb0ea91d2e6fa21b51363eba",
+        "590bae46a42b01f71dc19bf52f553dab505f10f1444e27a14c4cc17c8190a8ed",
     ),
 }
 
@@ -170,12 +170,13 @@ def test_error_counts_match_the_time_domain_chain(name):
 @pytest.mark.parametrize("pair_of", [SimConfig.pair, lambda cfg: None], ids=["spm", "baseline"])
 def test_partly_erased_batches_count_like_the_time_domain_chain(channel_mode, pair_of,
                                                                 monkeypatch):
-    # a floor near the median |H| erases some bins of every batch and keeps
+    # a floor near the median |H| erases some bins of every unit and keeps
     # the rest; with no noise the counts must equal the time-domain chain's
     # decisions, where equalize_symbols sets each erased bin to 0
     monkeypatch.setattr(harness.rx, "GAIN_FLOOR", 0.8)
-    cfg = SimConfig(channel_mode=channel_mode, ofdm_symbols=300, batch_symbols=128,
-                    master_seed=4, snr_db_grid=(math.inf,))
+    monkeypatch.setattr(harness, "_UNIT_ROWS", 128)
+    cfg = SimConfig(channel_mode=channel_mode, ofdm_symbols=300, master_seed=4,
+                    snr_db_grid=(math.inf,))
     pair = pair_of(cfg)
     mapper, detectors = harness._link(pair)
     slow = np.zeros(len(detectors), dtype=int)

@@ -181,6 +181,11 @@ class TestNoiseDensity:
         with pytest.raises(ValueError):
             SimConfig().noise_density(math.nan, None)
 
+    def test_underflow_names_the_given_snr(self):
+        # 10^(-4000/10) underflows to a linear SNR of 0; the error names -4000
+        with pytest.raises(ValueError, match=r"snr_db = -4000\.0 is not simulatable"):
+            SimConfig().noise_density(-4000, None)
+
     @pytest.mark.parametrize("run", [
         run_sweep,
         run_baseline_ofdm_bpsk,
@@ -269,43 +274,43 @@ class TestBlockFading:
 
 
 class TestTiles:
-    """_draws yields each batch in tiles of at most _TILE_ROWS rows; the
-    tiles are the whole-batch draw cut into rows, so their size changes no
-    count."""
+    """A run is tiled into units of _UNIT_ROWS rows, in whole coherence
+    blocks; each unit is one seeded draw, so neither batch_symbols nor the
+    worker count changes a byte of the output."""
 
-    # 130 symbols a batch, 129 at block 3 and 128 at block 16: no plan is a
-    # whole number of 7-row tiles
-    FIELDS = dict(ofdm_symbols=300, batch_symbols=130, snr_db_grid=(0.0, 10.0, INF),
-                  master_seed=4)
+    # 2100 symbols are 3 units at every block below, the first two whole
+    FIELDS = dict(ofdm_symbols=2100, snr_db_grid=(0.0, 10.0, INF), master_seed=4)
 
     @pytest.mark.parametrize("block", [1, 3, 16])
     @pytest.mark.parametrize("channel_mode", CHANNEL_MODES)
-    def test_tile_size_does_not_change_the_counts(self, channel_mode, block, monkeypatch):
+    def test_batch_symbols_and_workers_do_not_change_the_csv(self, channel_mode, block,
+                                                              monkeypatch):
         monkeypatch.setattr(rx, "GAIN_FLOOR", 0.3)  # some bins erased on the fading channels
-        cfg = SimConfig(channel_mode=channel_mode, coherence_block=block, **self.FIELDS)
         scan = [power_pair_for(Policy.REALLOC_OPTIMIZED, h) for h in (1.5, 1.7, 1.9)]
-        counts = []
-        for rows in (1, 7, cfg.batch_symbols):
-            monkeypatch.setattr(harness, "_TILE_ROWS", rows)
-            counts.append([harness._errors(cfg, pairs) for pairs in ([cfg.pair()], [None], scan)])
-        assert counts[0] == counts[1] == counts[2]
+        outputs = []
+        for batch in (1, 130, 2048, self.FIELDS["ofdm_symbols"]):
+            for workers in (1, 2):
+                cfg = SimConfig(channel_mode=channel_mode, coherence_block=block,
+                                batch_symbols=batch, workers=workers, **self.FIELDS)
+                buf = io.StringIO()
+                write_csv(run_sweep(cfg) + run_baseline_ofdm_bpsk(cfg), buf)
+                outputs.append((buf.getvalue(), monte_carlo_objective(cfg)(scan)))
+        assert len(harness._units(cfg.ofdm_symbols, block)) == 3
+        assert all(output == outputs[0] for output in outputs)
 
     @pytest.mark.parametrize("block", [1, 3])
     @pytest.mark.parametrize("channel_mode", CHANNEL_MODES)
-    def test_tiles_are_the_whole_batch_draw(self, channel_mode, block, monkeypatch):
-        # bits, then the fading, then one noise fill of the whole batch
+    def test_a_unit_is_one_seeded_draw(self, channel_mode, block, monkeypatch):
+        # bits, then the fading, then one noise fill of the whole unit
         monkeypatch.setattr(rx, "GAIN_FLOOR", 0.3)
-        monkeypatch.setattr(harness, "_TILE_ROWS", 7)
         cfg = SimConfig(channel_mode=channel_mode, coherence_block=block, **self.FIELDS)
-        batch_index, count = harness._batch_plan(cfg.ofdm_symbols, cfg.batch_symbols, block)[1]
-        tiles = list(harness._draws(cfg, 2, (batch_index, count)))
-        assert [z.shape[0] for _, z in tiles] == [7] * (count // 7) + [count % 7]
-        bits, z = map(np.concatenate, zip(*tiles))
+        index, count = harness._units(cfg.ofdm_symbols, block)[1]
+        bits, z = harness._draws(cfg, 2, (index, count))
 
         layout = cfg.layout()
         n, blocks = layout.n, -(-count // block)
-        rng = np.random.default_rng([cfg.master_seed, batch_index])
-        whole_bits = rng.integers(0, 2, size=(count, 2, n), dtype=np.int8)
+        rng = np.random.default_rng([cfg.master_seed, 1])
+        unit_bits = rng.integers(0, 2, size=(count, 2, n), dtype=np.int8)
         magnitude = np.ones((count, n))
         if channel_mode == "flat":
             gains = draw_flat_rayleigh(blocks * n, rng).reshape(blocks, n)
@@ -316,15 +321,15 @@ class TestTiles:
             magnitude = np.abs(expand_blocks(response, block, count))
         noise = rng.standard_normal((count, n))
         erased = magnitude < rx.GAIN_FLOOR
-        np.testing.assert_array_equal(bits, whole_bits)
+        np.testing.assert_array_equal(bits, unit_bits)
         np.testing.assert_array_equal(z, np.where(erased, np.nan, noise / magnitude))
         assert erased.any() == (channel_mode != "identity")
 
-    @pytest.mark.parametrize("channel_mode", ["multipath", "identity"])
+    @pytest.mark.parametrize("channel_mode", CHANNEL_MODES)
     def test_a_batch_holds_no_whole_batch_noise_array(self, channel_mode):
-        # one 8192-symbol batch: the noise, |H| and the erasures of one tile
-        # at a time, never a (count, n) array of the whole batch. Flat fading
-        # is left out: its |H| is drawn for the whole batch, before the noise.
+        # 8192 symbols at batch_symbols 8192: the bits, fading, noise, |H|
+        # and erasures of one unit at a time, never a (count, n) array of
+        # the whole run
         cfg = SimConfig(channel_mode=channel_mode, ofdm_symbols=8192, batch_symbols=8192,
                         master_seed=1)
         tracemalloc.start()
@@ -349,9 +354,10 @@ class TestDeterminism:
         assert a.ber_total_sim != b.ber_total_sim
 
     @pytest.mark.parametrize("channel_mode", CHANNEL_MODES)
-    def test_point_equals_its_sweep_row(self, channel_mode):
-        # every point shares each batch's draw, so a point is its sweep row
-        cfg = _tiny(channel_mode=channel_mode, ofdm_symbols=600, batch_symbols=256,
+    def test_point_equals_its_sweep_row(self, channel_mode, monkeypatch):
+        # every point shares each unit's draw, so a point is its sweep row
+        monkeypatch.setattr(harness, "_UNIT_ROWS", 256)
+        cfg = _tiny(channel_mode=channel_mode, ofdm_symbols=600,
                     snr_db_grid=(5.0, 10.0, 15.0, INF), master_seed=3)
         sweep, baseline = run_sweep(cfg), run_baseline_ofdm_bpsk(cfg)
         assert [r.snr_db for r in sweep] == [5.0, 10.0, 15.0, INF]
@@ -359,11 +365,11 @@ class TestDeterminism:
             assert _point(cfg, s) == sweep[i]
             assert _baseline_point(cfg, s) == baseline[i]  # the NaN cells are math.nan
 
-    def test_worker_count_does_not_change_results(self):
+    def test_worker_count_does_not_change_results(self, monkeypatch):
+        monkeypatch.setattr(harness, "_UNIT_ROWS", 128)
         small = dict(
             channel_mode="flat",
             ofdm_symbols=400,
-            batch_symbols=128,
             snr_db_grid=(5.0, 15.0),
             master_seed=9,
         )
@@ -371,11 +377,11 @@ class TestDeterminism:
         parallel = run_sweep(SimConfig(workers=2, **small))
         assert serial == parallel
 
-    def test_more_threads_than_cores_switching_often(self):
-        # a state shared between batches, such as one generator, would
+    def test_more_threads_than_cores_switching_often(self, monkeypatch):
+        # a state shared between units, such as one generator, would
         # show as counts that depend on how the threads interleave
-        fields = dict(ofdm_symbols=1200, batch_symbols=64, snr_db_grid=(0.0, 10.0),
-                      master_seed=9)
+        monkeypatch.setattr(harness, "_UNIT_ROWS", 64)
+        fields = dict(ofdm_symbols=1200, snr_db_grid=(0.0, 10.0), master_seed=9)
         serial = run_baseline_ofdm_bpsk(SimConfig(**fields)), run_sweep(SimConfig(**fields))
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
@@ -408,7 +414,8 @@ class TestDeterminism:
                 return future
 
         monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", InlinePool)
-        small = dict(channel_mode="flat", ofdm_symbols=symbols, batch_symbols=256, master_seed=9)
+        monkeypatch.setattr(harness, "_UNIT_ROWS", 256)
+        small = dict(channel_mode="flat", ofdm_symbols=symbols, master_seed=9)
         assert _point(SimConfig(workers=8, **small), 10.0) == _point(SimConfig(**small), 10.0)
         assert pools == started
 
@@ -432,10 +439,11 @@ class TestDeterminism:
         monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", no_pool)
         monkeypatch.setattr(threading.Thread, "start", no_thread)
         monkeypatch.setattr(harness, "_error_counts", recording)
-        cfg = SimConfig(channel_mode="multipath", ofdm_symbols=600, batch_symbols=256,
-                        snr_db_grid=(0.0, 10.0), master_seed=5)
+        monkeypatch.setattr(harness, "_UNIT_ROWS", 256)
+        cfg = SimConfig(channel_mode="multipath", ofdm_symbols=600, snr_db_grid=(0.0, 10.0),
+                        master_seed=5)
         run_sweep(cfg)
-        assert len(threads) == 3  # one call per tile; each 256-symbol batch is one tile
+        assert len(threads) == 3  # one call per 256-symbol unit
         run_baseline_ofdm_bpsk(cfg)
         assert len(threads) == 6
         res = scan_levels(Policy.POWER_SAVING, objective=monte_carlo_objective(cfg))
@@ -443,7 +451,7 @@ class TestDeterminism:
         assert set(threads) == {threading.get_ident()}
 
     def test_partial_last_batch_counts_all_bits(self):
-        cfg = _tiny(channel_mode="flat", ofdm_symbols=1500, batch_symbols=1024)
+        cfg = _tiny(channel_mode="flat", ofdm_symbols=1500)
         rec = _point(cfg, 10.0)
         assert rec.bits_counted == 2 * 52 * 1500
         errors = rec.ber_power_sim * rec.bits_counted / 2
@@ -575,8 +583,8 @@ SCAN_CASES = {
     "multipath_per_bit_batches": (
         Policy.REALLOC_OPTIMIZED,
         dict(policy=Policy.REALLOC_OPTIMIZED, channel_mode="multipath",
-             snr_convention="per_bit", coherence_block=4, batch_symbols=256,
-             snr_db_grid=(0.0, 10.0), ofdm_symbols=700),
+             snr_convention="per_bit", coherence_block=4, snr_db_grid=(0.0, 10.0),
+             ofdm_symbols=700),
     ),
     "identity": (
         Policy.POWER_SAVING,
@@ -597,6 +605,7 @@ class TestMonteCarloObjective:
     def test_scan_equals_per_candidate_sweeps(self, case, monkeypatch):
         policy, fields = SCAN_CASES[case]
         monkeypatch.setattr(rx, "GAIN_FLOOR", SCAN_GAIN_FLOORS.get(case, rx.GAIN_FLOOR))
+        monkeypatch.setattr(harness, "_UNIT_ROWS", 256)  # several units per run
         cfg = SimConfig(master_seed=11, **fields)
         fast = scan_levels(policy, objective=monte_carlo_objective(cfg))
         slow = scan_levels(policy, objective=_per_candidate_objective(cfg))
@@ -611,23 +620,24 @@ class TestMonteCarloObjective:
         draws = harness._draws
 
         def counting(*args):
-            tiles = list(draws(*args))
-            rows.append(sum(z.shape[0] for _, z in tiles))
-            return iter(tiles)
+            bits, z = draws(*args)
+            rows.append(z.shape[0])
+            return bits, z
 
         monkeypatch.setattr(harness, "_draws", counting)
-        cfg = SimConfig(ofdm_symbols=600, batch_symbols=256, snr_db_grid=(0.0, 10.0))
+        monkeypatch.setattr(harness, "_UNIT_ROWS", 256)
+        cfg = SimConfig(ofdm_symbols=600, snr_db_grid=(0.0, 10.0))
         objective = monte_carlo_objective(cfg)
-        assert rows == []  # the factory draws nothing; each call draws its batches
+        assert rows == []  # the factory draws nothing; each call draws its units
         res = scan_levels(Policy.POWER_SAVING, objective=objective)
         assert res.trace_high.size == 37
         assert rows == [256, 256, 88]
 
     def test_links_are_built_once_per_run(self, monkeypatch):
-        # a scan's scorer is built before its first draw, not again in each batch
-        cfg = SimConfig(ofdm_symbols=600, batch_symbols=256, snr_db_grid=(0.0, 10.0),
-                        master_seed=3)
-        assert len(harness._batch_plan(600, 256, 1)) == 3
+        # a scan's scorer is built before its first draw, not again in each unit
+        monkeypatch.setattr(harness, "_UNIT_ROWS", 256)
+        cfg = SimConfig(ofdm_symbols=600, snr_db_grid=(0.0, 10.0), master_seed=3)
+        assert len(harness._units(600, 1)) == 3
         plain = scan_levels(Policy.POWER_SAVING, objective=monte_carlo_objective(cfg))
         pairs = []
         link = harness._link
@@ -651,8 +661,8 @@ class TestMonteCarloObjective:
                 super().__init__(*args, **kwargs)
 
         monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", CountingPool)
-        fields = dict(ofdm_symbols=600, batch_symbols=256, snr_db_grid=(0.0, 10.0, 20.0),
-                      master_seed=2)
+        monkeypatch.setattr(harness, "_UNIT_ROWS", 256)
+        fields = dict(ofdm_symbols=600, snr_db_grid=(0.0, 10.0, 20.0), master_seed=2)
         serial = scan_levels(
             Policy.POWER_SAVING, objective=monte_carlo_objective(SimConfig(**fields))
         )
@@ -664,7 +674,7 @@ class TestMonteCarloObjective:
         assert parallel.trace_objective.tolist() == serial.trace_objective.tolist()
 
     def test_workers_count_the_errors(self, monkeypatch):
-        # each batch is scored for every candidate on a pool thread, so the
+        # each unit is scored for every candidate on a pool thread, so the
         # calling thread only sums counts
         calls = []
         error_counts = harness._error_counts
@@ -674,8 +684,8 @@ class TestMonteCarloObjective:
             return error_counts(*args)
 
         monkeypatch.setattr(harness, "_error_counts", recording)
-        fields = dict(ofdm_symbols=600, batch_symbols=256, snr_db_grid=(0.0, 10.0, 20.0),
-                      master_seed=2)
+        monkeypatch.setattr(harness, "_UNIT_ROWS", 256)
+        fields = dict(ofdm_symbols=600, snr_db_grid=(0.0, 10.0, 20.0), master_seed=2)
         serial = scan_levels(
             Policy.POWER_SAVING, objective=monte_carlo_objective(SimConfig(**fields))
         )

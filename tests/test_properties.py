@@ -1,4 +1,4 @@
-"""Property tests: config files round-trip, batch plans tile the symbols,
+"""Property tests: config files round-trip, units tile the symbols,
 the noiseless link loops back, and the harness's draws agree with the
 time-domain chain on the bits, the erasures and the noiseless symbols."""
 
@@ -31,7 +31,7 @@ from ofdm_spm import (  # noqa: E402
 )
 from ofdm_spm import harness  # noqa: E402
 from ofdm_spm.cli import _build_config  # noqa: E402
-from ofdm_spm.harness import CHANNEL_MODES, _batch_plan  # noqa: E402
+from ofdm_spm.harness import _UNIT_ROWS, CHANNEL_MODES, _units  # noqa: E402
 
 FEW = settings(max_examples=40, deadline=None)
 # the SNR axis values SimConfig takes: any dB value whose linear SNR is a
@@ -124,14 +124,15 @@ def test_config_file_round_trip(cfg):
 
 
 @FEW
-@given(st.integers(1, 10**5), st.integers(1, 5000), st.integers(1, 300))
-def test_batch_plan_tiles_the_symbols(total, batch, block):
-    plan = list(_batch_plan(total, batch, block))
+@given(st.integers(1, 10**5), st.integers(1, 3000))
+def test_units_tile_the_symbols(total, block):
+    plan = _units(total, block)
     assert [index for index, _ in plan] == list(range(len(plan)))
     counts = [count for _, count in plan]
     assert sum(counts) == total
     assert all(count > 0 for count in counts)
     assert all(count % block == 0 for count in counts[:-1])
+    assert all(count <= max(block, _UNIT_ROWS) for count in counts)
 
 
 @FEW
@@ -159,8 +160,7 @@ def test_frequency_domain_chain_matches_time_domain(link):
     # points on every bin they keep, whatever prefix covers the spread
     cfg, cp = link
     mapper, _ = harness._link(cfg.pair())
-    plan = _batch_plan(cfg.ofdm_symbols, cfg.batch_symbols, cfg.coherence_block)
-    fast = [tuple(map(np.concatenate, zip(*harness._draws(cfg, 2, batch)))) for batch in plan]
+    fast = [harness._draws(cfg, 2, unit) for unit in _units(cfg.ofdm_symbols, cfg.coherence_block)]
     slow = list(time_domain_draws(cfg, 0.0, 2, mapper, cp))
     assert len(fast) == len(slow)
     for (bits, z), (slow_bits, slow_symbols, slow_erased, _) in zip(fast, slow):
