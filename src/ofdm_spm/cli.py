@@ -98,6 +98,9 @@ def _build_config(args, needs_seed: bool = False) -> SimConfig:
         # scan only once SimConfig has validated the policy and the grid
         best = scan_levels(cfg.policy, mean_ber_objective(cfg)).pair
         cfg = dataclasses.replace(cfg, high_factor=best.high)
+    if (snr := getattr(args, "snr", None)) is not None:
+        # simulate's point, after the scan: --high auto scans the configured grid
+        cfg = dataclasses.replace(cfg, snr_db_grid=(_parse(float, snr, "--snr"),))
     return cfg
 
 
@@ -110,19 +113,8 @@ def _cmd_theory(args):
     write_table(args.out or sys.stdout, THEORY_COLUMNS, zip(*columns))
 
 
-def _cmd_simulate(args):
-    cfg = _build_config(args, needs_seed=True)
-    snr = _parse(float, args.snr, "--snr")
-    write_csv(run_sweep(dataclasses.replace(cfg, snr_db_grid=(snr,))), args.out or sys.stdout)
-
-
-def _cmd_sweep(args):
-    write_csv(run_sweep(_build_config(args, needs_seed=True)), args.out or sys.stdout)
-
-
-def _cmd_baseline(args):
-    write_csv(run_baseline_ofdm_bpsk(_build_config(args, needs_seed=True)),
-              args.out or sys.stdout)
+def _cmd_records(args, run):
+    write_csv(run(_build_config(args, needs_seed=True)), args.out or sys.stdout)
 
 
 def _cmd_optimize(args):
@@ -165,13 +157,15 @@ OPTIONS = {
 }
 
 # subcommand -> (help, handler, {flag: add_argument keywords} of the flags
-# only it takes), after --config, the OPTIONS flags and --out, which all take
+# only it takes), after --config, the OPTIONS flags and --out, which all take;
+# the lambdas look the library up at call time, so a wrapped cli name is seen
 COMMANDS = {
     "theory": ("closed-form BER/throughput curves", _cmd_theory, {}),
-    "simulate": ("Monte-Carlo at a single SNR", _cmd_simulate,
+    "simulate": ("Monte-Carlo at a single SNR", lambda args: _cmd_records(args, run_sweep),
                  {"--snr": dict(required=True, help="SNR point in dB")}),
-    "sweep": ("Monte-Carlo over the SNR grid", _cmd_sweep, {}),
-    "baseline": ("plain OFDM-BPSK reference sweep", _cmd_baseline, {}),
+    "sweep": ("Monte-Carlo over the SNR grid", lambda args: _cmd_records(args, run_sweep), {}),
+    "baseline": ("plain OFDM-BPSK reference sweep",
+                 lambda args: _cmd_records(args, run_baseline_ofdm_bpsk), {}),
     "optimize": ("scan H for the best (L, H) pair", _cmd_optimize, {
         "--h-start": dict(default=1.05, help="first H of the scan"),
         "--h-step": dict(default=0.01, help="step in H between candidates"),

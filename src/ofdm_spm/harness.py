@@ -93,6 +93,7 @@ class SimConfig:
             value = getattr(self, name)
             if not isinstance(value, (int, np.integer)) or isinstance(value, bool):
                 raise ValueError(f"{name} must be an integer, got {value!r}")
+            object.__setattr__(self, name, int(value))  # a narrow numpy int overflows
         if not isinstance(self.policy, Policy):
             raise ValueError(f"policy must be a Policy, got {self.policy!r}")
         h = self.high_factor

@@ -95,6 +95,9 @@ def scan_levels(
     values = [float(value) for value in objective(pairs)]
     if len(values) != len(pairs):
         raise ValueError(f"the objective scored {len(values)} of {len(pairs)} candidates")
+    for pair, value in zip(pairs, values):
+        if np.isnan(value):  # argmin would pick it
+            raise ValueError(f"the objective scored H={pair.high!r} as NaN")
     best = int(np.argmin(values))  # first minimum = smallest H on ties
     return ScanResult(
         pair=pairs[best],

@@ -196,6 +196,15 @@ class TestSimulate:
         rows = sweep.read_bytes().splitlines()[1:]
         assert SimConfig().snr_db_grid[2] == 10.0 and row == rows[2]
 
+    def test_high_auto_scans_the_configured_grid_before_the_point(self):
+        # the point is set last: over -10 dB alone auto would pick 1.24
+        # (TestTheory.test_high_auto_scans_the_given_grid), over the default grid 1.35
+        common = ["--snr=-10", "--seed", "1", "--symbols", "300"]
+        auto, grid_pick, point_pick = (run_cli("simulate", "--high", high, *common)
+                                       for high in ("auto", "1.35", "1.24"))
+        assert auto.returncode == 0, auto.stderr
+        assert auto.stdout == grid_pick.stdout != point_pick.stdout
+
 
 class TestWorkers:
     @pytest.mark.parametrize("command", ["sweep", "baseline", "simulate"])

@@ -136,6 +136,19 @@ class TestConfigValidation:
         cfg = SimConfig(ofdm_symbols=np.int64(10), master_seed=np.uint32(3))
         assert _point(cfg, 10.0).bits_counted == 2 * 52 * 10
 
+    @pytest.mark.parametrize("name, value", [("ofdm_symbols", np.int16(5000)),
+                                             ("coherence_block", np.int8(1)),
+                                             ("ofdm_symbols", np.uint8(200))])
+    def test_narrow_numpy_integers_are_stored_as_int(self, name, value):
+        # stored as given, these overflowed the unit and bit-count arithmetic
+        flat = dict(channel_mode="flat", snr_db_grid=(10.0,))
+        cfg = SimConfig(**flat, **{name: value})
+        assert type(getattr(cfg, name)) is int
+        out, twin = io.StringIO(), io.StringIO()
+        write_csv(run_sweep(cfg), out)
+        write_csv(run_sweep(SimConfig(**flat, **{name: int(value)})), twin)
+        assert out.getvalue() == twin.getvalue()
+
     def test_delay_spread_must_fit_the_fft(self):
         too_long = dict(fft_size=8, data_subcarriers=6, delays=(0, 3, 5, 6, 8))
         with pytest.raises(ValueError, match=r"^delay spread 8 does not fit an FFT of size 8$"):

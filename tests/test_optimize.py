@@ -125,6 +125,14 @@ class TestObjectiveProtocol:
         with pytest.raises(ValueError, match="scored 1 of 37"):
             scan_levels(Policy.POWER_SAVING, objective=lambda pairs: [1.0])
 
+    def test_nan_score_is_rejected(self):
+        # np.argmin returns the first NaN, so a NaN score would win the scan
+        def objective(pairs):
+            return [float("nan") if p.high == 1.2 else abs(p.high - 1.35) for p in pairs]
+
+        with pytest.raises(ValueError, match=r"^the objective scored H=1\.2 as NaN$"):
+            scan_levels(Policy.POWER_SAVING, objective=objective)
+
 
 class TestDeterminism:
     def test_repeat_scan_identical(self):
