@@ -22,7 +22,7 @@ import numpy as np
 
 from .analysis import ber_breakdown, rayleigh_bpsk_ber, throughput
 from . import rx
-from .channel import ChannelProfile, channel_frequency_response, draw_flat_rayleigh, draw_taps
+from .channel import ChannelProfile, channel_frequency_response, draw_taps
 from .core import (
     Policy,
     PowerPair,
@@ -203,21 +203,26 @@ def _draws(cfg: SimConfig, streams: int, unit):
     / |H|, which given H is iid N(0, n0 / 2) / |H| (W is circularly
     symmetric): sqrt(n0 / 2) z, one real normal per data bin, with no
     transform. The noise density n0 is the only part of a run that depends
-    on the SNR; _error_counts scales z by it and adds the points. The
-    tests check this against the public time-domain chain (ofdm_modulate,
-    apply_channel, add_awgn, ofdm_demodulate, equalize_symbols): the same
-    bits, fading and erasures, and the same noise law.
+    on the SNR; _error_counts scales z by it and adds the points. So the
+    counts read H only through |H|, and flat fading draws |H| alone:
+    |CN(0, 1)| is Rayleigh with scale sqrt(1/2). The bits are unpacked
+    from random bytes, 8 per byte. The tests check all this against the
+    public time-domain chain (ofdm_modulate, apply_channel, add_awgn,
+    ofdm_demodulate, equalize_symbols): the same bits, |H| and erasures,
+    and the same noise law.
     """
     index, count = unit
     layout = cfg.layout()
     n, block = layout.n, cfg.coherence_block
     rng = np.random.default_rng([cfg.master_seed, index])
     # draw order is part of the determinism contract: bits, fading, noise
-    bits = rng.integers(0, 2, size=(count, streams, n), dtype=np.int8)
+    size = count * streams * n
+    bits = np.unpackbits(rng.integers(0, 256, size=-(-size // 8), dtype=np.uint8), count=size)
+    bits = bits.view(np.int8).reshape(count, streams, n)
     blocks = -(-count // block)
     magnitude = np.float64(1.0)  # the identity channel
     if cfg.channel_mode == "flat":
-        magnitude = np.abs(draw_flat_rayleigh(blocks * n, rng)).reshape(blocks, n)
+        magnitude = rng.rayleigh(np.sqrt(0.5), size=(blocks, n))  # |CN(0, 1)|
     elif cfg.channel_mode == "multipath":
         taps = draw_taps(cfg.profile(), blocks, rng)
         magnitude = np.abs(channel_frequency_response(taps, cfg.fft_size))[:, layout.data_bins]

@@ -16,7 +16,6 @@ from ofdm_spm import (
     add_awgn,
     apply_channel,
     channel_frequency_response,
-    draw_flat_rayleigh,
     draw_taps,
     equalize_symbols,
     ofdm_demodulate,
@@ -79,25 +78,28 @@ def time_domain_draws(cfg, n0: float, streams: int, mapper, cp_len: int):
     a NaN z instead; both decode as (0, 0)), so harness._error_counts
     scores (bits, symbols) at scale 1 with a mapper that adds 0. gains
     are the data-bin responses H, or the scalar 1.0 on the identity
-    channel. The bits, gains and erasures come from the same seeds and
-    draw order as harness._draws; the noise samples do not. The bits are
-    drawn flat and reshaped, so the reference does not share the
-    harness's draw call.
+    channel. The bits, |H| and erasures come from the same seeds and draw
+    order as harness._draws; the noise samples do not. The bits are
+    unpacked from rng.bytes, flat, and reshaped, so the reference does not
+    share the harness's draw call. A flat gain is the harness's Rayleigh
+    |H| times a uniform phase, drawn after |H| and before the noise.
     """
     layout = cfg.layout()
     n, block = layout.n, cfg.coherence_block
     profile = cfg.profile() if cfg.channel_mode == "multipath" else None
     for index, count in _units(cfg.ofdm_symbols, block):
         rng = np.random.default_rng([cfg.master_seed, index])
-        bits = rng.integers(0, 2, size=(count, streams * n), dtype=np.int8)
-        bits = bits.reshape(count, streams, n)
+        size = count * streams * n
+        bits = np.unpackbits(np.frombuffer(rng.bytes(-(-size // 8)), np.uint8), count=size)
+        bits = bits.astype(np.int8).reshape(count, streams, n)
         points = mapper(bits)
         blocks = -(-count // block)
         gains = 1.0
         if cfg.channel_mode == "flat":
             # per-subcarrier gains act before the transform, which is the
             # same received signal as multiplying the bins after it
-            per_block = draw_flat_rayleigh(blocks * n, rng).reshape(blocks, n)
+            magnitude = rng.rayleigh(math.sqrt(0.5), size=(blocks, n))
+            per_block = magnitude * np.exp(1j * rng.uniform(0.0, 2.0 * math.pi, (blocks, n)))
             gains = expand_blocks(per_block, block, count)
             points = points * gains
         x = ofdm_modulate(points, layout, cp_len)

@@ -19,7 +19,7 @@ PINNED_STDOUT = {
     "01_power_pairs.py": "de8ba80eab91147dd72b7025f46a03ffb3efb7f8b617413e7e23349687f7fe19",
     "02_single_frame.py": "d8d29c7986cfe07aaebf42f6a576acb253d56fd183faa771114ae712d3460133",
     "03_theory_curves.py": "41225b6ec12c796682065e504b65d5f3cb07da5f2c4cf194ca64e470355c6941",
-    "05_optimize_levels.py": "99d44b5ac841046142b32e4ab67b52aab705f4f7d96653a493409a88d4938d66",
+    "05_optimize_levels.py": "30ab3bfb69b7deaa2c45c681d3f51b45dca178218574027cf9a9787adacaef39",
 }
 
 

@@ -44,33 +44,33 @@ RUNS = {
     "flat": (
         dict(channel_mode="flat"),
         run_sweep,
-        "aafca2f1767a247dafc1540eaafda4c3155f20f25763e22cb6757137aa95022b",
+        "38d7f8cc62cc11125609501b84351c301696ecd9b44e103453e45721c5a68f82",
     ),
     "multipath": (
         dict(),
         run_sweep,
-        "590bae46a42b01f71dc19bf52f553dab505f10f1444e27a14c4cc17c8190a8ed",
+        "4014c3418ebd45cfe4abd9e741bb838339509d8e1f6fd215d02c56e1ac5fa560",
     ),
     "baseline": (
         dict(),
         run_baseline_ofdm_bpsk,
-        "fbc2a33f6613f54b1ba4b1995971f0da25dde1ed923e261d6f7f84d6ac812982",
+        "9777024cf9a7f85a19745b3adae1a1c40d77bc09ee721b99002ffd91ff334b2f",
     ),
     "per_bit": (
         dict(policy=Policy.REALLOC_OPTIMIZED, snr_convention="per_bit"),
         run_sweep,
-        "02a8dea03ec01054378d4b2f6af48d9370a94122d3856e04bbfaeaf0fbdfe486",
+        "b45093602faa64d169c60cdfa3d399107f86da930b462ce358182bde4ebc0e8f",
     ),
     "coherence_block": (
         dict(coherence_block=4),
         run_sweep,
-        "67d979536e6e45f50b9abe3894b66a79061aae4d3e080e5a46da13f94ecf4b74",
+        "e947569c8aae80e9d663e26997a82377fe42335dfd2f5ae5abc23ab6b1ce0cf2",
     ),
     # the determinism contract: same bytes as the one-worker multipath run
     "workers": (
         dict(workers=2),
         run_sweep,
-        "590bae46a42b01f71dc19bf52f553dab505f10f1444e27a14c4cc17c8190a8ed",
+        "4014c3418ebd45cfe4abd9e741bb838339509d8e1f6fd215d02c56e1ac5fa560",
     ),
 }
 
@@ -211,8 +211,8 @@ CLI_RUNS = {
     ),
     "scan_mc": (
         SCAN_MC,
-        "a5135bf91ef66cc5ec69720595f3d73190930b8664950c2153a6c4cae5c8e8cc",
-        "903f49c894f70bfd8aae2f1d9dbbf7f622483bf0204660adc63fe36e00a87898",
+        "c89984c0b81686a577683d9a9c30f726c18e00266879b253d3a90c434faed501",
+        "122022cf56624d7aa8d9f51f9109a2c4a6f41e28f4b4de2d6dfb0ac5c183024c",
     ),
 }
 

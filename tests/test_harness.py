@@ -20,7 +20,6 @@ from ofdm_spm import (
     SimConfig,
     ber_breakdown,
     channel_frequency_response,
-    draw_flat_rayleigh,
     draw_taps,
     monte_carlo_objective,
     power_pair_for,
@@ -311,32 +310,43 @@ class TestTiles:
         assert len(harness._units(cfg.ofdm_symbols, block)) == 3
         assert all(output == outputs[0] for output in outputs)
 
+    # (streams, fields): the SPM draw, the baseline's one-stream draw, and a
+    # last unit of 53 x 2 x 51 bits (55 x 2 x 51 at block 3), which is not a
+    # whole number of bytes
+    LAYOUTS = [(2, {}), (1, {}), (2, dict(data_subcarriers=51, ofdm_symbols=2101))]
+
     @pytest.mark.parametrize("block", [1, 3])
     @pytest.mark.parametrize("channel_mode", CHANNEL_MODES)
     def test_a_unit_is_one_seeded_draw(self, channel_mode, block, monkeypatch):
-        # bits, then the fading, then one noise fill of the whole unit
+        # bits unpacked from random bytes, then |H|, then one noise fill of
+        # the whole unit
         monkeypatch.setattr(rx, "GAIN_FLOOR", 0.3)
-        cfg = SimConfig(channel_mode=channel_mode, coherence_block=block, **self.FIELDS)
-        index, count = harness._units(cfg.ofdm_symbols, block)[1]
-        bits, z = harness._draws(cfg, 2, (index, count))
+        for streams, fields in self.LAYOUTS:
+            cfg = SimConfig(channel_mode=channel_mode, coherence_block=block,
+                            **{**self.FIELDS, **fields})
+            index, count = harness._units(cfg.ofdm_symbols, block)[-1]
+            bits, z = harness._draws(cfg, streams, (index, count))
 
-        layout = cfg.layout()
-        n, blocks = layout.n, -(-count // block)
-        rng = np.random.default_rng([cfg.master_seed, 1])
-        unit_bits = rng.integers(0, 2, size=(count, 2, n), dtype=np.int8)
-        magnitude = np.ones((count, n))
-        if channel_mode == "flat":
-            gains = draw_flat_rayleigh(blocks * n, rng).reshape(blocks, n)
-            magnitude = np.abs(expand_blocks(gains, block, count))
-        elif channel_mode == "multipath":
-            taps = draw_taps(cfg.profile(), blocks, rng)
-            response = channel_frequency_response(taps, cfg.fft_size)[:, layout.data_bins]
-            magnitude = np.abs(expand_blocks(response, block, count))
-        noise = rng.standard_normal((count, n))
-        erased = magnitude < rx.GAIN_FLOOR
-        np.testing.assert_array_equal(bits, unit_bits)
-        np.testing.assert_array_equal(z, np.where(erased, np.nan, noise / magnitude))
-        assert erased.any() == (channel_mode != "identity")
+            layout = cfg.layout()
+            n, blocks = layout.n, -(-count // block)
+            size = count * streams * n
+            rng = np.random.default_rng([cfg.master_seed, index])
+            unit_bits = np.unpackbits(np.frombuffer(rng.bytes(-(-size // 8)), np.uint8),
+                                      count=size)
+            magnitude = np.ones((count, n))
+            if channel_mode == "flat":
+                gains = rng.rayleigh(math.sqrt(0.5), size=(blocks, n))
+                magnitude = expand_blocks(gains, block, count)
+            elif channel_mode == "multipath":
+                taps = draw_taps(cfg.profile(), blocks, rng)
+                response = channel_frequency_response(taps, cfg.fft_size)[:, layout.data_bins]
+                magnitude = np.abs(expand_blocks(response, block, count))
+            noise = rng.standard_normal((count, n))
+            erased = magnitude < rx.GAIN_FLOOR
+            assert bits.dtype == np.int8 and (size % 8 != 0) == (n == 51)
+            np.testing.assert_array_equal(bits, unit_bits.reshape(count, streams, n))
+            np.testing.assert_array_equal(z, np.where(erased, np.nan, noise / magnitude))
+            assert erased.any() == (channel_mode != "identity")
 
     @pytest.mark.parametrize("channel_mode", CHANNEL_MODES)
     def test_a_batch_holds_no_whole_batch_noise_array(self, channel_mode):
@@ -491,6 +501,17 @@ class TestAccuracy:
         theory = rayleigh_bpsk_ber(10.0)
         sigma = math.sqrt(theory * (1 - theory) / (52 * 20_000))
         assert abs(rec.ber_bpsk_sim - theory) < 3 * sigma
+
+    @pytest.mark.parametrize("floor", [0.3, 1.0])
+    def test_flat_erasures_follow_the_rayleigh_law(self, floor, monkeypatch):
+        # |CN(0, 1)| is Rayleigh of scale sqrt(1/2): P(|H| < r) = 1 - exp(-r^2),
+        # and each flat bin is erased on its own
+        monkeypatch.setattr(rx, "GAIN_FLOOR", floor)
+        cfg = SimConfig(channel_mode="flat", ofdm_symbols=3000, master_seed=9)
+        erased = np.concatenate([np.isnan(harness._draws(cfg, 2, unit)[1]).ravel()
+                                 for unit in harness._units(cfg.ofdm_symbols, 1)])
+        p = 1.0 - math.exp(-floor**2)
+        assert abs(erased.mean() - p) <= 5.0 * math.sqrt(p * (1.0 - p) / erased.size)
 
     def test_theory_columns_match_analysis(self):
         cfg = _tiny(channel_mode="flat", ofdm_symbols=100)
