@@ -11,7 +11,6 @@ from .channel import (
     add_awgn,
     apply_channel,
     channel_frequency_response,
-    draw_flat_rayleigh,
     draw_taps,
 )
 from .core import (

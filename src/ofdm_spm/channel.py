@@ -3,8 +3,9 @@
 The tap gains are circular-symmetric complex Gaussians whose variances
 follow a delay/power profile normalized to unit total power, so the
 per-subcarrier frequency response has E|H_k|^2 = 1 and plain Rayleigh
-statistics on every bin. A flat i.i.d. per-subcarrier mode is also
-provided as the statistical reference case for the closed-form curves.
+statistics on every bin. The flat i.i.d. per-subcarrier mode, the
+statistical reference case for the closed-form curves, needs only |H|,
+which the harness draws as a Rayleigh magnitude.
 """
 from __future__ import annotations
 
@@ -125,10 +126,3 @@ def add_awgn(samples, n0: float, rng) -> np.ndarray:
     noise = _complex_normal(x.shape, rng)
     noise *= np.sqrt(n0 / 2.0)
     return x + noise
-
-
-def draw_flat_rayleigh(count: int, rng) -> np.ndarray:
-    """i.i.d. CN(0, 1) per-subcarrier gains (E|g|^2 = 1), shape (count,)."""
-    if count < 0:
-        raise ValueError(f"count must be nonnegative, got {count}")
-    return _complex_normal((count,), rng) / np.sqrt(2.0)

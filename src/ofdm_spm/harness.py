@@ -4,7 +4,8 @@ Reproducibility contract: a run is cut into units of _UNIT_ROWS symbols,
 in whole coherence blocks, and every unit draws from its own RNG seeded
 by (master_seed, unit_index). The draw depends on neither the SNR nor the
 pair, so each unit is drawn once and counted at every SNR point for every
-pair: simulate, a one-point sweep, equals the sweep's row at that SNR.
+pair: simulate, a one-point sweep, equals the sweep's row at that SNR, and
+the baseline sends the SPM draw's BPSK stream over the same |H| and noise.
 The reduction sums integer error counts in unit order, so results are
 byte-identical across repeat runs, worker counts and batch_symbols, which
 the simulation does not read.
@@ -188,13 +189,14 @@ def _units(total: int, block: int):
             for index, start in enumerate(range(0, total, step))]
 
 
-def _draws(cfg: SimConfig, streams: int, unit):
+def _draws(cfg: SimConfig, unit):
     """Draw one unit of a run's random part, which every SNR point shares.
 
     unit is an (index, count) of _units. Returns (bits, z): bits of shape
-    (count, streams, n) and the unit in-phase zero-forced noise z = N(0, 1)
-    / |H| of the data bins, float64 of shape (count, n), NaN on the erased
-    bins (|H| < rx.GAIN_FLOOR), which decode as (0, 0).
+    (count, 2, n), the power and BPSK streams, and the unit in-phase
+    zero-forced noise z = N(0, 1) / |H| of the data bins, float64 of shape
+    (count, n), NaN on the erased bins (|H| < rx.GAIN_FLOOR), which decode
+    as (0, 0).
 
     The model assumes a cyclic prefix covering the delay spread, so each
     data bin sees one complex gain H and zero forcing gives X + W / H, W
@@ -216,9 +218,9 @@ def _draws(cfg: SimConfig, streams: int, unit):
     n, block = layout.n, cfg.coherence_block
     rng = np.random.default_rng([cfg.master_seed, index])
     # draw order is part of the determinism contract: bits, fading, noise
-    size = count * streams * n
+    size = count * 2 * n
     bits = np.unpackbits(rng.integers(0, 256, size=-(-size // 8), dtype=np.uint8), count=size)
-    bits = bits.view(np.int8).reshape(count, streams, n)
+    bits = bits.view(np.int8).reshape(count, 2, n)
     blocks = -(-count // block)
     magnitude = np.float64(1.0)  # the identity channel
     if cfg.channel_mode == "flat":
@@ -236,19 +238,20 @@ def _draws(cfg: SimConfig, streams: int, unit):
 
 
 def _link(pair: PowerPair | None):
-    """Mapper and detectors: OFDM-SPM's (power, BPSK) for a pair, plain
-    BPSK's one for None."""
+    """Mapper and detectors keyed by the stream of _draws they decide:
+    OFDM-SPM's {0: power, 1: BPSK} for a pair; for None, plain BPSK's
+    {1: BPSK}, which sends stream 1 at unit amplitude."""
     if pair is None:
-        return lambda bits: map_bpsk(bits[:, 0]), (detect_bpsk_bit,)
+        return lambda bits: map_bpsk(bits[:, 1]), {1: detect_bpsk_bit}
     threshold = detection_threshold(pair)
     return (
         lambda bits: constellation_point(bits[:, 0], bits[:, 1], pair),
-        (lambda s: detect_power_bit(s, threshold), detect_bpsk_bit),
+        {0: lambda s: detect_power_bit(s, threshold), 1: detect_bpsk_bit},
     )
 
 
 def _error_counts(draw, sigmas, mapper, detectors) -> list[list[int]]:
-    """Decision errors [scale][stream] of one (bits, z) unit.
+    """Decision errors [scale][detector] of one (bits, z) unit.
 
     At noise scale sigma the decision statistic is mapper(bits) + sigma *
     z. It is NaN on the erased bins, which the detectors decode as (0, 0).
@@ -259,33 +262,32 @@ def _error_counts(draw, sigmas, mapper, detectors) -> list[list[int]]:
     for sigma in sigmas:
         symbols = points + sigma * z
         errors.append([int(np.count_nonzero(detect(symbols) != bits[:, stream]))
-                       for stream, detect in enumerate(detectors)])
+                       for stream, detect in detectors.items()])
     return errors
 
 
 def _errors(cfg: SimConfig, pairs) -> list:
-    """Decision errors [pair][snr][stream] of cfg's run for each of pairs
-    (None for the baseline) at every SNR of cfg.snr_db_grid. Each pair's
-    noise scales (checked here) and link are built once, before any draw;
-    each unit is drawn once and counted for every pair on the same thread,
-    a pool thread if cfg.workers > 1; the counts are summed in unit order.
-    numpy's draws and ufuncs release the GIL, so threads overlap and a
-    parallel run stays one process."""
+    """Decision errors [pair][snr][detector] of cfg's run at every SNR of
+    cfg.snr_db_grid, for pairs either all PowerPairs (two detectors each)
+    or [None], the baseline (one). Each pair's noise scales (checked here)
+    and link are built once, before any draw; each unit is drawn once and
+    counted for every pair on the same thread, a pool thread if
+    cfg.workers > 1; the counts are summed in unit order. numpy's draws
+    and ufuncs release the GIL, so threads overlap and a parallel run
+    stays one process."""
     sigmas = [[math.sqrt(cfg.noise_density(snr_db, pair) / 2.0)
                for snr_db in cfg.snr_db_grid] for pair in pairs]
     links = [_link(pair) for pair in pairs]
-    streams = max(len(detectors) for _, detectors in links)
 
     def count(unit):
-        draw = _draws(cfg, streams, unit)
+        draw = _draws(cfg, unit)
         return np.array([_error_counts(draw, scales, *link) for link, scales in zip(links, sigmas)])
 
     units = _units(cfg.ofdm_symbols, cfg.coherence_block)
     workers = min(cfg.workers, len(units))  # no idle threads; one runs serially
     if workers > 1:
         with concurrent.futures.ThreadPoolExecutor(max_workers=workers) as pool:
-            futures = [pool.submit(count, unit) for unit in units]
-            counts = [f.result() for f in futures]
+            counts = list(pool.map(count, units))
     else:
         counts = [count(unit) for unit in units]
     return np.sum(counts, axis=0).tolist()

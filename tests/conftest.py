@@ -65,7 +65,7 @@ def expand_blocks(per_block, block: int, count: int):
     return per_block[np.arange(count) // block]
 
 
-def time_domain_draws(cfg, n0: float, streams: int, mapper, cp_len: int):
+def time_domain_draws(cfg, n0: float, mapper, cp_len: int):
     """harness._draws the long way, one unit at a time, on the same seeds
     and in the same draw order.
 
@@ -79,19 +79,20 @@ def time_domain_draws(cfg, n0: float, streams: int, mapper, cp_len: int):
     scores (bits, symbols) at scale 1 with a mapper that adds 0. gains
     are the data-bin responses H, or the scalar 1.0 on the identity
     channel. The bits, |H| and erasures come from the same seeds and draw
-    order as harness._draws; the noise samples do not. The bits are
-    unpacked from rng.bytes, flat, and reshaped, so the reference does not
-    share the harness's draw call. A flat gain is the harness's Rayleigh
-    |H| times a uniform phase, drawn after |H| and before the noise.
+    order as harness._draws; the noise samples do not. The bits, both
+    streams of every run, are unpacked from rng.bytes, flat, and reshaped,
+    so the reference does not share the harness's draw call. A flat gain
+    is the harness's Rayleigh |H| times a uniform phase, drawn after |H|
+    and before the noise.
     """
     layout = cfg.layout()
     n, block = layout.n, cfg.coherence_block
     profile = cfg.profile() if cfg.channel_mode == "multipath" else None
     for index, count in _units(cfg.ofdm_symbols, block):
         rng = np.random.default_rng([cfg.master_seed, index])
-        size = count * streams * n
+        size = count * 2 * n
         bits = np.unpackbits(np.frombuffer(rng.bytes(-(-size // 8)), np.uint8), count=size)
-        bits = bits.astype(np.int8).reshape(count, streams, n)
+        bits = bits.astype(np.int8).reshape(count, 2, n)
         points = mapper(bits)
         blocks = -(-count // block)
         gains = 1.0

@@ -11,7 +11,6 @@ from ofdm_spm.channel import (
     add_awgn,
     apply_channel,
     channel_frequency_response,
-    draw_flat_rayleigh,
     draw_taps,
 )
 
@@ -223,19 +222,4 @@ class TestNoise:
     def test_negative_density_rejected(self):
         with pytest.raises(ValueError):
             add_awgn(np.zeros(4, dtype=complex), -0.1, np.random.default_rng(0))
-
-
-class TestFlatFading:
-    def test_statistics(self):
-        g = draw_flat_rayleigh(1_000_000, np.random.default_rng(50))
-        p = np.abs(g) ** 2
-        assert p.mean() == pytest.approx(1.0, rel=0.005)
-        # |g|^2 is Exp(1), so its median is ln 2.
-        assert np.median(p) == pytest.approx(np.log(2.0), rel=0.01)
-        assert abs(np.mean(g)) < 0.002
-
-    def test_deterministic_given_seed(self):
-        a = draw_flat_rayleigh(8, np.random.default_rng(5))
-        b = draw_flat_rayleigh(8, np.random.default_rng(5))
-        np.testing.assert_array_equal(a, b)
 

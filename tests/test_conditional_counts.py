@@ -51,7 +51,7 @@ def test_counts_match_their_conditional_expectation(channel_mode, seed):
     cfg = SimConfig(channel_mode=channel_mode, ofdm_symbols=SYMBOLS, snr_db_grid=GRID,
                     master_seed=seed)
     pair = cfg.pair()
-    draws = list(time_domain_draws(cfg, 0.0, 2, _no_points, CP))
+    draws = list(time_domain_draws(cfg, 0.0, _no_points, CP))
     bits = np.concatenate([b for b, _, _, _ in draws])
     erased = np.concatenate([e for _, _, e, _ in draws])
     magnitude = np.where(erased, 1.0, np.abs(np.concatenate([g for _, _, _, g in draws])))

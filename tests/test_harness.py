@@ -310,26 +310,25 @@ class TestTiles:
         assert len(harness._units(cfg.ofdm_symbols, block)) == 3
         assert all(output == outputs[0] for output in outputs)
 
-    # (streams, fields): the SPM draw, the baseline's one-stream draw, and a
-    # last unit of 53 x 2 x 51 bits (55 x 2 x 51 at block 3), which is not a
-    # whole number of bytes
-    LAYOUTS = [(2, {}), (1, {}), (2, dict(data_subcarriers=51, ofdm_symbols=2101))]
+    # the default layout, and a last unit of 53 x 2 x 51 bits (55 x 2 x 51
+    # at block 3), which is not a whole number of bytes
+    LAYOUTS = [{}, dict(data_subcarriers=51, ofdm_symbols=2101)]
 
     @pytest.mark.parametrize("block", [1, 3])
     @pytest.mark.parametrize("channel_mode", CHANNEL_MODES)
     def test_a_unit_is_one_seeded_draw(self, channel_mode, block, monkeypatch):
-        # bits unpacked from random bytes, then |H|, then one noise fill of
-        # the whole unit
+        # two streams of bits unpacked from random bytes, then |H|, then one
+        # noise fill of the whole unit
         monkeypatch.setattr(rx, "GAIN_FLOOR", 0.3)
-        for streams, fields in self.LAYOUTS:
+        for fields in self.LAYOUTS:
             cfg = SimConfig(channel_mode=channel_mode, coherence_block=block,
                             **{**self.FIELDS, **fields})
             index, count = harness._units(cfg.ofdm_symbols, block)[-1]
-            bits, z = harness._draws(cfg, streams, (index, count))
+            bits, z = harness._draws(cfg, (index, count))
 
             layout = cfg.layout()
             n, blocks = layout.n, -(-count // block)
-            size = count * streams * n
+            size = count * 2 * n
             rng = np.random.default_rng([cfg.master_seed, index])
             unit_bits = np.unpackbits(np.frombuffer(rng.bytes(-(-size // 8)), np.uint8),
                                       count=size)
@@ -344,7 +343,7 @@ class TestTiles:
             noise = rng.standard_normal((count, n))
             erased = magnitude < rx.GAIN_FLOOR
             assert bits.dtype == np.int8 and (size % 8 != 0) == (n == 51)
-            np.testing.assert_array_equal(bits, unit_bits.reshape(count, streams, n))
+            np.testing.assert_array_equal(bits, unit_bits.reshape(count, 2, n))
             np.testing.assert_array_equal(z, np.where(erased, np.nan, noise / magnitude))
             assert erased.any() == (channel_mode != "identity")
 
@@ -362,6 +361,63 @@ class TestTiles:
         finally:
             tracemalloc.stop()
         assert peak < 8192 * 52 * 16  # one complex (count, n) array, 6.8 MB
+
+
+class TestSharedDraw:
+    """The baseline sends the BPSK stream of the SPM draw: same bits, |H|
+    and noise, so the two links differ only in what they send."""
+
+    def test_the_baseline_draws_what_the_sweep_draws(self, monkeypatch):
+        drawn = []
+        draws = harness._draws
+
+        def recording(*args):
+            drawn[-1].append(draws(*args))
+            return drawn[-1][-1]
+
+        monkeypatch.setattr(harness, "_draws", recording)
+        cfg = SimConfig(ofdm_symbols=2100, snr_db_grid=(0.0, 10.0), master_seed=4)
+        for run in (run_sweep, run_baseline_ofdm_bpsk):
+            drawn.append([])
+            run(cfg)
+        sweep, baseline = drawn
+        assert len(sweep) == len(harness._units(cfg.ofdm_symbols, 1)) == 3
+        assert len(baseline) == len(sweep)
+        for (bits, z), (baseline_bits, baseline_z) in zip(sweep, baseline):
+            np.testing.assert_array_equal(baseline_bits, bits)
+            np.testing.assert_array_equal(baseline_z, z)
+
+    def test_the_baseline_errs_on_the_noise_of_the_spm_bpsk_stream(self, monkeypatch):
+        # one flat unit at the saving pair (L < 1 < H) under the subcarrier
+        # convention, where both links have the same sigma: a sign flip at
+        # amplitude H flips amplitude 1 too, and one at 1 flips L too. The
+        # noiseless point gives each bin's amplitude and the bit sent.
+        statistics = []
+        detect = harness.detect_bpsk_bit
+
+        def recording(s):
+            statistics[-1].append(s)
+            return detect(s)
+
+        monkeypatch.setattr(harness, "detect_bpsk_bit", recording)
+        cfg = SimConfig(channel_mode="flat", ofdm_symbols=1000, snr_db_grid=(5.0, INF),
+                        master_seed=6)
+        pair = cfg.pair()
+        assert pair.low < 1.0 < pair.high and cfg.snr_convention == "subcarrier"
+        assert len(harness._units(cfg.ofdm_symbols, 1)) == 1
+        errors = []
+        for run in (run_sweep, run_baseline_ofdm_bpsk):
+            statistics.append([])
+            run(cfg)
+            noisy, sent = statistics[-1]
+            errors.append(detect(noisy) != detect(sent))
+        spm, baseline = errors
+        amplitude = np.abs(statistics[0][1])  # NaN on the erased bins
+        high, low = amplitude > 1.0, amplitude < 1.0
+        np.testing.assert_array_equal(np.abs(statistics[1][1]) == 1.0, high | low)
+        assert (spm & high).any() and (baseline & low).any()
+        assert not (spm & high & ~baseline).any()
+        assert not (baseline & low & ~spm).any()
 
 
 class TestDeterminism:
@@ -420,7 +476,7 @@ class TestDeterminism:
         pools = []
 
         class InlinePool:
-            """Records the pool size and runs each task at submit, on the calling thread."""
+            """Records the pool size and runs the tasks on the calling thread."""
 
             def __init__(self, max_workers):
                 pools.append(max_workers)
@@ -431,10 +487,8 @@ class TestDeterminism:
             def __exit__(self, *exc):
                 return False
 
-            def submit(self, fn, *args):
-                future = concurrent.futures.Future()
-                future.set_result(fn(*args))
-                return future
+            def map(self, fn, *iterables):
+                return map(fn, *iterables)
 
         monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", InlinePool)
         monkeypatch.setattr(harness, "_UNIT_ROWS", 256)
@@ -508,7 +562,7 @@ class TestAccuracy:
         # and each flat bin is erased on its own
         monkeypatch.setattr(rx, "GAIN_FLOOR", floor)
         cfg = SimConfig(channel_mode="flat", ofdm_symbols=3000, master_seed=9)
-        erased = np.concatenate([np.isnan(harness._draws(cfg, 2, unit)[1]).ravel()
+        erased = np.concatenate([np.isnan(harness._draws(cfg, unit)[1]).ravel()
                                  for unit in harness._units(cfg.ofdm_symbols, 1)])
         p = 1.0 - math.exp(-floor**2)
         assert abs(erased.mean() - p) <= 5.0 * math.sqrt(p * (1.0 - p) / erased.size)

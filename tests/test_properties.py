@@ -160,8 +160,8 @@ def test_frequency_domain_chain_matches_time_domain(link):
     # points on every bin they keep, whatever prefix covers the spread
     cfg, cp = link
     mapper, _ = harness._link(cfg.pair())
-    fast = [harness._draws(cfg, 2, unit) for unit in _units(cfg.ofdm_symbols, cfg.coherence_block)]
-    slow = list(time_domain_draws(cfg, 0.0, 2, mapper, cp))
+    fast = [harness._draws(cfg, unit) for unit in _units(cfg.ofdm_symbols, cfg.coherence_block)]
+    slow = list(time_domain_draws(cfg, 0.0, mapper, cp))
     assert len(fast) == len(slow)
     for (bits, z), (slow_bits, slow_symbols, slow_erased, _) in zip(fast, slow):
         erased = np.isnan(z)
