@@ -9,9 +9,18 @@ which the harness draws as a Rayleigh magnitude.
 """
 from __future__ import annotations
 
+import numbers
 from dataclasses import InitVar, dataclass, field
 
 import numpy as np
+
+
+def is_real_vector(values) -> bool:
+    """Whether values is a 1-D sequence of real numbers. numpy would also
+    read a bool, a numeric string or a bare number as one."""
+    items = np.asarray(values, dtype=object)
+    return items.ndim == 1 and all(
+        isinstance(v, numbers.Real) and not isinstance(v, bool) for v in items)
 
 
 @dataclass(frozen=True, eq=False)
@@ -30,6 +39,8 @@ class ChannelProfile:
 
     def __post_init__(self, powers_db):
         d = np.asarray(self.delays)
+        if not is_real_vector(powers_db):
+            raise ValueError("powers_db must be real numbers in dB")
         p_db = np.asarray(powers_db, dtype=np.float64)
         if d.ndim != 1 or p_db.ndim != 1 or d.size != p_db.size:
             raise ValueError("delays and powers_db must be 1-D and equally long")
@@ -41,7 +52,7 @@ class ChannelProfile:
         if np.isinf(p_db.max().item() - p_db.min().item()):
             raise ValueError(f"powers_db spread overflows, got {tuple(p_db.tolist())}")
         # numeric, whole and well inside intp, so the cast neither warns nor wraps
-        if d.dtype.kind not in "iuf" or not np.all(
+        if not is_real_vector(self.delays) or d.dtype.kind not in "iuf" or not np.all(
                 (-2**62 < d) & (d < 2**62) & (d == np.round(d))):
             raise ValueError("delays must be integer sample offsets")
         d = d.astype(np.intp)

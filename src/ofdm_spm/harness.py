@@ -23,7 +23,7 @@ import numpy as np
 
 from .analysis import ber_breakdown, rayleigh_bpsk_ber, throughput
 from . import rx
-from .channel import ChannelProfile, channel_frequency_response, draw_taps
+from .channel import ChannelProfile, channel_frequency_response, draw_taps, is_real_vector
 from .core import (
     Policy,
     PowerPair,
@@ -111,6 +111,8 @@ class SimConfig:
         for name, choices in _CHOICES.items():
             if (value := getattr(self, name)) not in choices:
                 raise ValueError(f"{name} must be one of {choices}, got {value!r}")
+        if not is_real_vector(self.snr_db_grid):
+            raise ValueError("snr_db_grid must be a sequence of real numbers in dB")
         if len(self.snr_db_grid) == 0:
             raise ValueError("snr_db_grid must not be empty")
         for snr_db in self.snr_db_grid:

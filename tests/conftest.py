@@ -1,6 +1,7 @@
-"""Shared pytest plumbing: acceptance lines repeated in the summary, a
-second coding of the power-stream BER that the closed forms are checked
-against, and the time-domain link chain the harness is checked against.
+"""Shared pytest plumbing: acceptance lines repeated in the summary, the
+multipath design effect, a second coding of the power-stream BER that the
+closed forms are checked against, and the time-domain link chain the
+harness is checked against.
 
 The harness draws the in-phase noise Re(W / H) of each data bin directly;
 the time-domain chain draws white noise per sample and runs it through
@@ -24,6 +25,11 @@ from ofdm_spm import (
 from ofdm_spm.harness import _units
 
 ACCEPTANCE_LINES = []
+
+# the variance of an error count over the binomial one on multipath at
+# coherence block 1, where the bins of one symbol share a tap draw; the
+# benchmark allows the same (bench/workloads.py DESIGN_EFFECT_MULTIPATH)
+MULTIPATH_DESIGN_EFFECT = 12.0
 
 
 def pytest_terminal_summary(terminalreporter):

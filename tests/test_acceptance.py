@@ -1,20 +1,23 @@
 """End-to-end acceptance checks, one test per criterion.
 
 Each test prints a single "criterion N: PASS/FAIL" line (repeated in the
-terminal summary) and then asserts. Tolerances are stated inline; the
-statistical ones come from binomial counting noise at the configured
-symbol counts.
+terminal summary) and then asserts. Criteria 3-9 are statistical: each is
+one statistic of the SWEEPS records and the bounds it must lie in, both
+listed in STATISTICS, whose tolerances come from binomial counting noise
+at the configured symbol counts. tests/audit_criteria.py evaluates the
+same statistics at other seeds to measure how often each criterion fails
+on correct code.
 """
 
 from __future__ import annotations
 
 import concurrent.futures
+import functools
 import io
 import math
 import time
 
 import numpy as np
-import pytest
 
 import conftest
 from ofdm_spm import (
@@ -31,7 +34,10 @@ from ofdm_spm import (
 )
 
 GRID_DB = (0.0, 5.0, 10.0, 15.0, 20.0, 25.0, 30.0)
+CROSS_GRID = (6.0, 8.0, 10.0, 12.0, 14.0, 16.0, 18.0)
+GAP_GRID = (12.0, 14.0, 16.0, 18.0, 20.0, 22.0, 24.0)
 SYMBOLS = 50_000
+BITS = SimConfig().data_subcarriers * SYMBOLS  # bits of one stream at one point
 INF = float("inf")
 
 
@@ -64,62 +70,137 @@ def _snr_at_ber(snr_db, ber, target: float) -> float:
     raise AssertionError(f"BER {target} not bracketed by the sweep grid")
 
 
-# -- shared sweeps (module scope keeps the total runtime down) --------------
+# -- the sweeps of criteria 3-9 ---------------------------------------------
 
-@pytest.fixture(scope="module")
-def baseline_flat():
-    cfg = _cfg(channel_mode="flat", master_seed=301)
-    t0 = time.perf_counter()
-    recs = run_baseline_ofdm_bpsk(cfg)
-    return recs, time.perf_counter() - t0
-
-
-@pytest.fixture(scope="module")
-def saving_flat():
-    return run_sweep(_cfg(channel_mode="flat", master_seed=401))
-
-
-@pytest.fixture(scope="module")
-def saving_multipath():
-    return run_sweep(_cfg(channel_mode="multipath", master_seed=501))
-
-
-CROSS_GRID = (6.0, 8.0, 10.0, 12.0, 14.0, 16.0, 18.0)
-GAP_GRID = (12.0, 14.0, 16.0, 18.0, 20.0, 22.0, 24.0)
+# sweep name -> (run, SimConfig fields over _cfg's, the suite's master seed)
+SWEEPS = {
+    "baseline_flat": (run_baseline_ofdm_bpsk, dict(channel_mode="flat"), 301),
+    "saving_flat": (run_sweep, dict(channel_mode="flat"), 401),
+    "saving_multipath": (run_sweep, dict(channel_mode="multipath"), 501),
+    "crossing_baseline": (run_baseline_ofdm_bpsk,
+                          dict(channel_mode="multipath", snr_db_grid=CROSS_GRID), 701),
+    "crossing_nonopt": (run_sweep, dict(channel_mode="multipath", snr_db_grid=CROSS_GRID,
+                                        policy=Policy.REALLOC_NON_OPTIMIZED), 702),
+    "nonopt_15db": (run_sweep, dict(channel_mode="multipath", snr_db_grid=(15.0,),
+                                    policy=Policy.REALLOC_NON_OPTIMIZED), 801),
+    "opt_10db": (run_sweep, dict(channel_mode="multipath", snr_db_grid=(10.0,),
+                                 policy=Policy.REALLOC_OPTIMIZED), 802),
+    "gap_saving": (run_sweep, dict(channel_mode="multipath", snr_db_grid=GAP_GRID), 901),
+    "gap_opt": (run_sweep, dict(channel_mode="multipath", snr_db_grid=GAP_GRID,
+                                policy=Policy.REALLOC_OPTIMIZED), 902),
+}
 
 
-@pytest.fixture(scope="module")
-def crossing_baseline():
-    cfg = _cfg(channel_mode="multipath", snr_db_grid=CROSS_GRID, master_seed=701)
-    return run_baseline_ofdm_bpsk(cfg)
+class Sweeps(dict):
+    """The SWEEPS records by name. Each sweep runs on first use, on master
+    seed offset + its suite seed with fields added to its config, and
+    seconds keeps how long it took."""
+
+    def __init__(self, offset: int = 0, **fields):
+        super().__init__()
+        self.offset, self.fields, self.seconds = offset, fields, {}
+
+    def __missing__(self, name: str):
+        run, fields, seed = SWEEPS[name]
+        t0 = time.perf_counter()
+        self[name] = run(_cfg(master_seed=self.offset + seed, **fields, **self.fields))
+        self.seconds[name] = time.perf_counter() - t0
+        return self[name]
 
 
-@pytest.fixture(scope="module")
-def crossing_nonopt():
-    cfg = _cfg(
-        channel_mode="multipath",
-        policy=Policy.REALLOC_NON_OPTIMIZED,
-        snr_db_grid=CROSS_GRID,
-        master_seed=702,
-    )
-    return run_sweep(cfg)
+# the suite's own sweeps; every test that reads one, in any module, shares its run
+SUITE = Sweeps()
 
 
-@pytest.fixture(scope="module")
-def gap_saving():
-    cfg = _cfg(channel_mode="multipath", snr_db_grid=GAP_GRID, master_seed=901)
-    return run_sweep(cfg)
+# -- the statistics of criteria 3-9 -----------------------------------------
+
+def spm_checks(runs):
+    """Criterion 4's checks: (simulated, closed form, sigma, tolerance) of
+    each stream and of the total at every point of the flat saving sweep.
+    The tolerance is 10 % of the closed form or 3 sigma, the wider."""
+    for r in runs["saving_flat"]:
+        for sim, theory, bits in [(r.ber_bpsk_sim, r.ber_bpsk_theory, BITS),
+                                  (r.ber_power_sim, r.ber_power_theory, BITS),
+                                  (r.ber_total_sim, r.ber_total_theory, 2 * BITS)]:
+            sigma = _sigma(theory, bits)
+            yield sim, theory, sigma, max(0.10 * theory, 3.0 * sigma)
 
 
-@pytest.fixture(scope="module")
-def gap_opt():
-    cfg = _cfg(
-        channel_mode="multipath",
-        policy=Policy.REALLOC_OPTIMIZED,
-        snr_db_grid=GAP_GRID,
-        master_seed=902,
-    )
-    return run_sweep(cfg)
+def multipath_points(runs):
+    """Criterion 5's points: the multipath saving sweep's, where the closed
+    form's total BER is at least 1e-3."""
+    return [r for r in runs["saving_multipath"] if r.ber_total_theory >= 1e-3]
+
+
+# criterion -> its throughput floors as (sweep, SNR in dB, floor)
+FLOORS = {
+    6: [("saving_multipath", 20.0, 1.90), ("saving_multipath", 30.0, 1.98)],
+    8: [("nonopt_15db", 15.0, 1.90), ("opt_10db", 10.0, 1.90)],
+}
+
+
+def floor_checks(runs, number: int):
+    """(record, floor) for each of FLOORS[number]."""
+    return [({r.snr_db: r for r in runs[name]}[snr_db], floor)
+            for name, snr_db, floor in FLOORS[number]]
+
+
+# criterion -> (sweep, sweep, the BER column whose crossings of 1e-2 it compares)
+CROSSINGS = {
+    7: ("crossing_baseline", "crossing_nonopt", "ber_bpsk_sim"),
+    9: ("gap_saving", "gap_opt", "ber_total_sim"),
+}
+
+
+def crossings(runs, number: int):
+    """The SNRs in dB at which the two sweeps of CROSSINGS[number] reach 1e-2."""
+    first, second, column = CROSSINGS[number]
+    snrs = [r.snr_db for r in runs[first]]
+    return tuple(_snr_at_ber(snrs, [getattr(r, column) for r in runs[name]], 1e-2)
+                 for name in (first, second))
+
+
+def _baseline_sigmas(runs):
+    return max(abs(r.ber_bpsk_sim - r.ber_bpsk_theory) / _sigma(r.ber_bpsk_theory, BITS)
+               for r in runs["baseline_flat"])
+
+
+def _spm_tolerances(runs):
+    return max(abs(sim - theory) / tol for sim, theory, _, tol in spm_checks(runs))
+
+
+def _relative_gap(runs):
+    return max((abs(r.ber_total_sim - r.ber_total_theory) / r.ber_total_theory
+                for r in multipath_points(runs)), default=0.0)
+
+
+def _floor_margin(runs, number: int):
+    return min(r.throughput - floor for r, floor in floor_checks(runs, number))
+
+
+def _crossing_gap(runs, number: int):
+    first, second = crossings(runs, number)
+    return first - second
+
+
+# criterion -> (its statistic of the sweeps, the bounds (lo, hi) it must lie in)
+STATISTICS = {
+    3: (_baseline_sigmas, (-INF, 3.0)),
+    4: (_spm_tolerances, (-INF, 1.0)),
+    5: (_relative_gap, (-INF, 0.20)),
+    6: (functools.partial(_floor_margin, number=6), (0.0, INF)),
+    7: (functools.partial(_crossing_gap, number=7), (1.5, 4.0)),
+    8: (functools.partial(_floor_margin, number=8), (0.0, INF)),
+    9: (functools.partial(_crossing_gap, number=9), (2.0, 4.0)),
+}
+
+
+def _statistic(number: int):
+    """Criterion number's statistic on the suite's sweeps, and whether it
+    lies within its bounds."""
+    statistic, (lo, hi) = STATISTICS[number]
+    value = statistic(SUITE)
+    return value, lo <= value <= hi
 
 
 # -- the criteria -----------------------------------------------------------
@@ -163,77 +244,53 @@ def test_criterion_02_closed_form_self_consistency():
     _criterion(2, ok, f"max |compact - crossings| = {worst:.2e} over 1000 triples, E1==E3")
 
 
-def test_criterion_03_baseline_oracle(baseline_flat):
+def test_criterion_03_baseline_oracle():
     """Design false-alarm rate 1.9 %: on flat fading each point's count is
     binomial around the closed form, so a point passes 3 sigma with
     probability 99.73 %, and the union bound over the 7 points gives
     7 x 0.27 %. tests/audit_criteria.py measures it."""
-    recs, elapsed = baseline_flat
-    bits = 52 * SYMBOLS
-    worst = 0.0
-    for rec in recs:
-        dev = abs(rec.ber_bpsk_sim - rec.ber_bpsk_theory)
-        worst = max(worst, dev / _sigma(rec.ber_bpsk_theory, bits))
-    ok = worst <= 3.0 and elapsed < 120.0
+    worst, ok = _statistic(3)
+    elapsed = SUITE.seconds["baseline_flat"]
+    ok = ok and elapsed < 120.0
     _criterion(3, ok, f"max deviation {worst:.2f} sigma, sweep took {elapsed:.1f} s")
 
 
-def test_criterion_04_spm_statistical_oracle(saving_flat):
+def test_criterion_04_spm_statistical_oracle():
     """Design false-alarm rate 7.6e-6: binomial counts, union bound over
     the 21 checks; the 10 % floor is the wider tolerance at every check,
     4.5 sigma or more. tests/audit_criteria.py measures it."""
-    bits = 52 * SYMBOLS
-    worst_ratio = 0.0
-    for rec in saving_flat:
-        for sim, theory, n in [
-            (rec.ber_bpsk_sim, rec.ber_bpsk_theory, bits),
-            (rec.ber_power_sim, rec.ber_power_theory, bits),
-            (rec.ber_total_sim, rec.ber_total_theory, 2 * bits),
-        ]:
-            tol = max(0.10 * theory, 3.0 * _sigma(theory, n))
-            worst_ratio = max(worst_ratio, abs(sim - theory) / tol)
-    ok = worst_ratio <= 1.0
+    worst_ratio, ok = _statistic(4)
     _criterion(4, ok, f"worst deviation at {worst_ratio:.2f} of tolerance")
 
 
-def test_criterion_05_multipath_consistency(saving_multipath):
+def test_criterion_05_multipath_consistency():
     """Design false-alarm rate below 1e-12 (2.2e-13): the 20 % gap is over
     7 standard errors of each checked point's total BER at a design effect
     of 12 over the binomial, union bound. tests/audit_criteria.py measures
     it."""
-    worst = 0.0
-    checked = 0
-    for rec in saving_multipath:
-        if rec.ber_total_theory >= 1e-3:
-            checked += 1
-            worst = max(
-                worst,
-                abs(rec.ber_total_sim - rec.ber_total_theory) / rec.ber_total_theory,
-            )
-    ok = checked >= 5 and worst <= 0.20
+    worst, ok = _statistic(5)
+    checked = len(multipath_points(SUITE))
+    ok = checked >= 5 and ok
     _criterion(5, ok, f"max relative gap {worst:.1%} over {checked} points")
 
 
-def test_criterion_06_power_saving_throughput(saving_multipath):
+def test_criterion_06_power_saving_throughput():
     """Design false-alarm rate below 1e-15: the closed-form throughput
     clears each floor by tens of standard errors at a design effect of 12
     (0.018 at 30 dB). tests/audit_criteria.py measures it."""
-    by_snr = {rec.snr_db: rec.throughput for rec in saving_multipath}
-    ok = by_snr[20.0] >= 1.90 and by_snr[30.0] >= 1.98
+    _, ok = _statistic(6)
+    (at_20, _), (at_30, _) = floor_checks(SUITE, 6)
     _criterion(
-        6, ok, f"throughput {by_snr[20.0]:.4f} at 20 dB, {by_snr[30.0]:.4f} at 30 dB"
+        6, ok, f"throughput {at_20.throughput:.4f} at 20 dB, {at_30.throughput:.4f} at 30 dB"
     )
 
 
-def test_criterion_07_bpsk_stream_gain(crossing_baseline, crossing_nonopt):
+def test_criterion_07_bpsk_stream_gain():
     """Design false-alarm rate below 1e-4: a normal law fitted to the gain
     at 40 audit seeds (1.65-1.91 dB) puts that little mass outside [1.5,
     4.0]. tests/audit_criteria.py measures it."""
-    snrs = [r.snr_db for r in crossing_baseline]
-    base = _snr_at_ber(snrs, [r.ber_bpsk_sim for r in crossing_baseline], 1e-2)
-    spm = _snr_at_ber(snrs, [r.ber_bpsk_sim for r in crossing_nonopt], 1e-2)
-    gain = base - spm
-    ok = 1.5 <= gain <= 4.0
+    gain, ok = _statistic(7)
+    base, spm = crossings(SUITE, 7)
     _criterion(
         7, ok, f"BER=1e-2 at {base:.2f} dB baseline vs {spm:.2f} dB, gain {gain:.2f} dB"
     )
@@ -243,23 +300,8 @@ def test_criterion_08_reallocation_throughput():
     """Design false-alarm rate below 1e-15: the closed-form throughputs
     clear 1.90 by 0.044 and 0.015, tens of standard errors at a design
     effect of 12. tests/audit_criteria.py measures it."""
-    (non,) = run_sweep(
-        _cfg(
-            channel_mode="multipath",
-            policy=Policy.REALLOC_NON_OPTIMIZED,
-            snr_db_grid=(15.0,),
-            master_seed=801,
-        )
-    )
-    (opt,) = run_sweep(
-        _cfg(
-            channel_mode="multipath",
-            policy=Policy.REALLOC_OPTIMIZED,
-            snr_db_grid=(10.0,),
-            master_seed=802,
-        )
-    )
-    ok = non.throughput >= 1.90 and opt.throughput >= 1.90
+    _, ok = _statistic(8)
+    (non, _), (opt, _) = floor_checks(SUITE, 8)
     _criterion(
         8,
         ok,
@@ -267,15 +309,12 @@ def test_criterion_08_reallocation_throughput():
     )
 
 
-def test_criterion_09_policy_gap(gap_saving, gap_opt):
+def test_criterion_09_policy_gap():
     """Design false-alarm rate below 1e-15: a normal law fitted to the gap
     at 40 audit seeds (2.87-3.10 dB) puts no measurable mass outside [2,
     4]. tests/audit_criteria.py measures it."""
-    snrs = list(GAP_GRID)
-    saving = _snr_at_ber(snrs, [r.ber_total_sim for r in gap_saving], 1e-2)
-    opt = _snr_at_ber(snrs, [r.ber_total_sim for r in gap_opt], 1e-2)
-    gap = saving - opt
-    ok = 2.0 <= gap <= 4.0
+    gap, ok = _statistic(9)
+    saving, opt = crossings(SUITE, 9)
     _criterion(
         9, ok, f"total BER=1e-2 at {saving:.2f} dB saving vs {opt:.2f} dB opt, gap {gap:.2f} dB"
     )

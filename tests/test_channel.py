@@ -72,6 +72,9 @@ class TestProfile:
             ([0, 0], [0.0, -1.0]),             # repeated
             ([0, 1.5], [0.0, -1.0]),           # fractional
             ([], []),                          # no tap
+            ([0, 1], [True, False]),           # bools, not levels in dB
+            ([0, 1], ["0", "-3"]),             # text
+            ([0, 1], [0.0, True]),             # one bool among levels
         ]:
             with pytest.raises(ValueError) as info:
                 ChannelProfile(delays, powers_db)
@@ -85,9 +88,10 @@ class TestProfile:
     @pytest.mark.parametrize(
         "delays",
         [[0, 10**20], ["0", "1"], [0, 1e20], [0, np.inf], [0, np.nan], [0, -1e20],
-         np.array([0, 5, -2**63]), np.array([0, 2**63 + 5], dtype=np.uint64), [False, True]],
+         np.array([0, 5, -2**63]), np.array([0, 2**63 + 5], dtype=np.uint64), [False, True],
+         [0, True]],
         ids=["int-past-int64", "text", "float-past-intp", "inf", "nan", "negative-past-intp",
-             "int64-min", "uint64-past-int64", "bool"],
+             "int64-min", "uint64-past-int64", "bool", "one-bool"],
     )
     def test_rejects_delays_that_are_not_intp_offsets(self, delays):
         # checked before the cast to intp, which would raise TypeError, warn or wrap

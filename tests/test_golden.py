@@ -25,7 +25,7 @@ import math
 
 import numpy as np
 import pytest
-from conftest import time_domain_draws
+from conftest import MULTIPATH_DESIGN_EFFECT, time_domain_draws
 
 from ofdm_spm import (
     Policy,
@@ -137,11 +137,9 @@ def test_time_domain_noise_is_iid_standard_normal(name):
 
 # the engine comparison runs the golden configs at this many symbols
 ENGINE_SYMBOLS = 20_000
-# On multipath the bits of one symbol share one tap draw, which inflates
-# the counting variance; 12 is the benchmark's design effect for it
-# (bench/workloads.py DESIGN_EFFECT_MULTIPATH). The two engines also share
-# the bits and the fading, so their difference spreads less than this.
-DESIGN_EFFECT = {"multipath": 12.0, "flat": 1.0}
+# The two engines share the bits and the fading, so their difference
+# spreads less than the counting variance these design effects allow.
+DESIGN_EFFECT = {"multipath": MULTIPATH_DESIGN_EFFECT, "flat": 1.0}
 
 
 @pytest.mark.parametrize("name", list(RUNS))

@@ -95,11 +95,20 @@ class TestConfigValidation:
             dict(delays=(0, 3, 5, 6, 64)),
             dict(fft_size=8, data_subcarriers=6),
             dict(high_factor=np.float32(1.45)),
+            dict(snr_db_grid="10"),
+            dict(snr_db_grid=(True,)),
+            dict(snr_db_grid=10.0),
+            dict(snr_db_grid=(None,)),
         ],
     )
     def test_rejects(self, kw):
         with pytest.raises(ValueError):
             SimConfig(**kw)
+
+    @pytest.mark.parametrize("grid", ["10", (True,), 10.0, (None,), np.array([[0.0, 10.0]])])
+    def test_grid_error_is_one_line(self, grid):
+        with pytest.raises(ValueError, match=r"^snr_db_grid must be a sequence of real numbers in dB$"):
+            SimConfig(snr_db_grid=grid)
 
     def test_integer_error_is_one_line(self):
         with pytest.raises(ValueError, match=r"^ofdm_symbols must be an integer, got 10\.5$"):
